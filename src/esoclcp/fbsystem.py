@@ -4,9 +4,10 @@ The complementarity conditions between xhat and the orthant residual are
 folded into the smooth-away-from-zero function psi(a, b) = sqrt(a^2 + b^2)
 - (a + b), which vanishes exactly on the complementary pairs.  Stacking
 psi over the k orthant pairs followed by the equality residual gives a
-square system of size m + 1 whose zeros are the augmented solutions; the
-solvers drive its residual, and the certification helpers inspect its
-Jacobian structure at candidate points.
+square system of size m + 1 whose zeros are the augmented solutions.
+FbKernel evaluates that system on raw arrays for the solvers' inner loop;
+fb_residual and fb_jacobian are its validating entry points, and the
+certification helpers inspect the Jacobian structure at candidate points.
 """
 
 from __future__ import annotations
@@ -15,11 +16,10 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import as_matrix, as_vector, lu_factor, schur_complement
-from .reformulation import AugmentedPoint, LcpProblem, f_comp, f_eq, jacobian_blocks
+from .linalg import as_matrix, as_vector, schur_complement
+from .reformulation import AugmentedPoint, LcpProblem, f_comp, jacobian_blocks
 
 # Subgradient element selected at exactly degenerate pairs (a, b) = (0, 0).
 DEGENERATE_SLOPE = 1.0 / np.sqrt(2.0) - 1.0
@@ -38,32 +38,98 @@ def psi_fb(a, b):
     return float(out) if out.ndim == 0 else out
 
 
+def fb_pair(a, b):
+    """psi(a, b) over arrays of pairs, with its slopes d_a and d_b.
+
+    The slopes are d_a = a/rad - 1 and d_b = b/rad - 1 with
+    rad = sqrt(a^2 + b^2); at an exactly degenerate pair both are fixed to
+    DEGENERATE_SLOPE so runs stay reproducible.  Every FB system evaluates
+    its psi rows here and hands the slopes on to its Jacobian.
+    """
+    rad = np.hypot(a, b)
+    psi = rad - (a + b)
+    if np.count_nonzero(rad) == rad.size:
+        return psi, a / rad - 1.0, b / rad - 1.0
+    degenerate = rad == 0.0
+    safe = np.where(degenerate, 1.0, rad)
+    d_a = np.where(degenerate, DEGENERATE_SLOPE, a / safe - 1.0)
+    d_b = np.where(degenerate, DEGENERATE_SLOPE, b / safe - 1.0)
+    return psi, d_a, d_b
+
+
+class FbKernel:
+    """The augmented FB system of one problem, evaluated on raw arrays.
+
+    Built once per problem, it holds the blocks of T and r and the constant
+    pieces of the Jacobian: the top rows [A | B | A e] and the sums e'A,
+    e'B, C e and e'Ae.  A point is the array (xhat, u, t) of length m + 1;
+    nothing is validated here.  residual returns the stacked residual with
+    the intermediates (x, e'y, d_a, d_b) that jacobian takes at the same
+    point, so T z + r is evaluated once per point.  The arithmetic is that
+    of f_comp, f_eq and jacobian_blocks, operation for operation.
+    """
+
+    def __init__(self, prob: LcpProblem):
+        k, l = prob.dims.k, prob.dims.l
+        A, B = prob.A, prob.B
+        self.k, self.m = k, k + l
+        self.T, self.r = prob.T, prob.r
+        self.C, self.D, self.q = prob.C, prob.D, prob.q
+        self.top = np.hstack([A, B, A.sum(axis=1)[:, None]])
+        self.eA = A.sum(axis=0)
+        self.eB = B.sum(axis=0)
+        self.Ce = self.C.sum(axis=1)
+        self.eAe = A.sum()
+        self.eye_l = np.eye(l)
+
+    def residual(self, w: np.ndarray):
+        """(psi(xhat, y), t v + (e'y) u, t^2 - ||u||^2) and the intermediates."""
+        k, m = self.k, self.m
+        xhat, u, t = w[:k], w[k:m], w[m]
+        z = np.concatenate([xhat + t, u])
+        img = self.T @ z + self.r
+        y, v = img[:k], img[k:]
+        ety = y.sum()
+        psi, d_a, d_b = fb_pair(xhat, y)
+        res = np.empty(m + 1)
+        res[:k] = psi
+        res[k:m] = t * v + u * ety
+        res[m] = t * t - u @ u
+        return res, (z[:k], ety, d_a, d_b)
+
+    def jacobian(self, w: np.ndarray, aux) -> np.ndarray:
+        """Jacobian at w, given the intermediates residual returned for w."""
+        k, m = self.k, self.m
+        u, t = w[k:m], w[m]
+        x, ety, d_a, d_b = aux
+        jac = np.empty((m + 1, m + 1))
+        jac[:k] = d_b[:, None] * self.top
+        jac[:k, :k] += np.diag(d_a)
+        jac[k:m, :k] = t * self.C + u[:, None] * self.eA
+        jac[k:m, k:m] = ety * self.eye_l + u[:, None] * self.eB + t * self.D
+        jac[k:m, m] = self.C @ x + t * self.Ce + self.eAe * u + self.D @ u + self.q
+        jac[m, :k] = 0.0
+        jac[m, k:m] = -2.0 * u
+        jac[m, m] = 2.0 * t
+        return jac
+
+
 def fb_residual(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
     """Stacked residual: psi over the (xhat_i, f_comp_i) pairs, then f_eq."""
     _check_dims(prob, w)
-    return np.concatenate([psi_fb(w.xhat, f_comp(prob, w)), f_eq(prob, w)])
+    return FbKernel(prob).residual(w.to_array())[0]
 
 
 def fb_jacobian(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
     """Jacobian of fb_residual, row i holding the differential of entry i.
 
-    The psi rows carry the diagonal scalings d_a = a/rad - 1 and
-    d_b = b/rad - 1 with rad = sqrt(a^2 + b^2); at an exactly degenerate
-    pair both scalings are fixed to 1/sqrt(2) - 1 so runs stay
-    reproducible.
+    The psi rows carry the diagonal scalings d_a and d_b of fb_pair, so an
+    exactly degenerate pair gets the fixed slope DEGENERATE_SLOPE.
     """
     _check_dims(prob, w)
-    y = f_comp(prob, w)
-    rad = np.hypot(w.xhat, y)
-    degenerate = rad == 0.0
-    safe = np.where(degenerate, 1.0, rad)
-    d_a = np.where(degenerate, DEGENERATE_SLOPE, w.xhat / safe - 1.0)
-    d_b = np.where(degenerate, DEGENERATE_SLOPE, y / safe - 1.0)
-
-    blocks = jacobian_blocks(prob, w)
-    top_left = np.diag(d_a) + d_b[:, None] * blocks.comp_x
-    top_right = d_b[:, None] * blocks.comp_ut
-    return np.block([[top_left, top_right], [blocks.eq_x, blocks.eq_ut]])
+    kernel = FbKernel(prob)
+    arr = w.to_array()
+    return kernel.jacobian(arr, kernel.residual(arr)[1])
 
 
 def merit(prob: LcpProblem, w: AugmentedPoint) -> float:
@@ -137,6 +203,10 @@ def s0_check(m) -> bool:
         raise ValueError(f"m must be square, got {m.shape}")
     if n > 20:
         raise TooLarge(f"s0_check handles order <= 20, got {n}")
+    # scipy.optimize costs more to import than the rest of the package; only
+    # the Indeterminate verdict reaches this test.
+    from scipy.optimize import linprog
+
     result = linprog(
         c=np.zeros(n),
         A_ub=-m,
@@ -240,14 +310,16 @@ def certify_solution(
 ) -> bool:
     """True iff w is stationary for the merit and certified Regular.
 
-    Never raises: a point where the regularity test itself breaks down
-    (singular equality block in the Indeterminate branch) is simply not
-    certified.
+    That is the decidable branch of fb_regularity_check: A nonsingular and
+    no residual indices at eps.  Never raises on a singular block: such a
+    point is simply not certified.
     """
     if not stationarity_check(prob, w, tol):
         return False
+    if not eps > 0:
+        raise ValueError(f"eps must be positive, got {eps}")
     try:
-        verdict = fb_regularity_check(prob, w, eps, tol)
+        prob.lu_A
     except SingularMatrix:
         return False
-    return verdict.kind is RegularityKind.REGULAR
+    return not index_sets(w.xhat, f_comp(prob, w), eps).res

@@ -8,11 +8,10 @@ nonsingularity is an explicit verdict (SingularMatrix) instead of a warning
 or a silently garbage solve.
 """
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import DimensionMismatch, SingularMatrix
 
@@ -41,7 +40,7 @@ def as_matrix(m, name="matrix"):
     arr = np.asarray(m, dtype=float)
     if arr.ndim != 2:
         raise DimensionMismatch(f"{name}: expected 2-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
 
@@ -60,23 +59,23 @@ class LuFactors:
 
 
 def lu_factor(m, name: str = "matrix") -> LuFactors:
-    """LU-factor a square matrix with partial pivoting.
+    """LU-factor a square matrix with partial pivoting (LAPACK dgetrf).
 
     Raises SingularMatrix when any pivot magnitude is at most
     PIVOT_RTOL times the largest entry of the input; `name` labels the
-    matrix in that message.
+    matrix in that message.  An exactly zero pivot, which dgetrf reports
+    through its info code, fails the same test.
     """
     a = as_matrix(m, name)
     n, ncols = a.shape
     if n != ncols:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
-    # scipy warns on zero pivots; singularity is an explicit verdict here.
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
-    threshold = PIVOT_RTOL * np.abs(a).max() if a.size else 0.0
-    if n and pivots.min() <= threshold:
+    if n == 0:
+        return LuFactors(lu=np.empty((0, 0)), piv=np.empty(0, dtype=np.int32), n=0)
+    lu, piv, _ = dgetrf(a)
+    pivots = np.abs(lu.diagonal())
+    threshold = PIVOT_RTOL * np.abs(a).max()
+    if pivots.min() <= threshold:
         raise SingularMatrix(
             f"{name} is singular to working precision "
             f"(pivot {pivots.min():.3e} <= {threshold:.3e})"
@@ -87,11 +86,14 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
 
 
 def lu_solve(f: LuFactors, b):
-    """Solve M s = b given the factorization of M."""
+    """Solve M s = b given the factorization of M (LAPACK dgetrs)."""
     rhs = np.asarray(b, dtype=float)
     if rhs.shape[0] != f.n:
         raise DimensionMismatch(f"lu_solve: rhs has length {rhs.shape[0]}, expected {f.n}")
-    return scipy.linalg.lu_solve((f.lu, f.piv), rhs, check_finite=False)
+    if f.n == 0:
+        return rhs.copy()
+    x, _ = dgetrs(f.lu, f.piv, rhs)
+    return x
 
 
 def solve(m, b):

@@ -52,7 +52,7 @@ class LcpProblem:
         object.__setattr__(self, "r", r)
         if not self.allow_singular:
             lu_factor(T, name="T")
-            lu_factor(self.A, name="A")
+            self.lu_A  # factors A once; the factors stay cached
             lu_factor(self.D, name="D")
 
     @property

@@ -20,9 +20,13 @@ from enum import Enum
 
 import numpy as np
 
-from .cones import PointZ, comp_pair_check
+from .cones import PairCase, PointZ, classify_pair, comp_pair_check
 from .errors import EsoclcpError, SingularMatrix
-from .fbsystem import certify_solution, fb_jacobian, fb_residual, psi_fb
+from .fbsystem import FbKernel, certify_solution, fb_pair, fb_residual
+
+# Not called here, but kept bound in this namespace, where per-layer tracing
+# (perfbench/tracer.py) looks up the package's layers.
+from .fbsystem import fb_jacobian, psi_fb  # noqa: F401
 from .linalg import as_matrix, as_vector, lu_factor, lu_solve
 from .reformulation import (
     AugmentedPoint,
@@ -118,31 +122,36 @@ class _RawSolve:
 
 
 def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
-    """Shared Newton/LM engine over a plain vector of unknowns."""
+    """Shared Newton/LM engine over a plain vector of unknowns.
+
+    res_fn(x) returns the residual and the intermediates that jac_fn(x, aux)
+    takes to build the Jacobian at the same point.
+    """
     x = np.array(x0, dtype=float)
-    res = res_fn(x)
+    res, aux = res_fn(x)
     norm = float(np.abs(res).max())
     history = [norm]
     best_x, best_norm, min_norm = x.copy(), norm, norm
     k = 0
     newton = opts.method == "newton"
+    damping = None if newton else opts.mu * np.eye(x.size)
     while True:
         if norm <= opts.residual_tol:
             return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history)
         if k >= opts.max_iter:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
-        jac = jac_fn(x)
+        jac = jac_fn(x, aux)
         if newton:
             try:
                 d = lu_solve(lu_factor(jac, name="jacobian"), -res)
             except SingularMatrix:
                 return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
         else:
-            normal = jac.T @ jac + opts.mu * np.eye(jac.shape[1])
+            normal = jac.T @ jac + damping
             d = lu_solve(lu_factor(normal, name="normal matrix"), -(jac.T @ res))
         x = x + d
-        res = res_fn(x)
-        norm = float(np.abs(res).max()) if np.all(np.isfinite(res)) else np.inf
+        res, aux = res_fn(x)
+        norm = float(np.abs(res).max()) if np.isfinite(res).all() else np.inf
         if not np.isfinite(norm):
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
         k += 1
@@ -165,20 +174,12 @@ def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> AugmentedPoint:
     raise ValueError(f"unrecognized start preset {opts.start!r}")
 
 
-def _fb_raw(prob: LcpProblem, start: AugmentedPoint, opts: SolverOptions) -> _RawSolve:
-    dims = prob.dims
-
-    def res_fn(arr):
-        return fb_residual(prob, AugmentedPoint.from_array(dims, arr))
-
-    def jac_fn(arr):
-        return fb_jacobian(prob, AugmentedPoint.from_array(dims, arr))
-
-    return _iterate(res_fn, jac_fn, start.to_array(), opts)
+def _fb_raw(kernel: FbKernel, start: AugmentedPoint, opts: SolverOptions) -> _RawSolve:
+    return _iterate(kernel.residual, kernel.jacobian, start.to_array(), opts)
 
 
 def _fb_report(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
-    raw = _fb_raw(prob, _resolve_start(opts, prob), opts)
+    raw = _fb_raw(FbKernel(prob), _resolve_start(opts, prob), opts)
     point = AugmentedPoint.from_array(prob.dims, raw.x)
     recovered = None
     certified = False
@@ -216,23 +217,13 @@ def lm_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
     return _fb_report(prob, opts)
 
 
-def _fb_scalings(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal FB derivative entries for the pairs (a_i, b_i)."""
-    rad = np.hypot(a, b)
-    degenerate = rad == 0.0
-    safe = np.where(degenerate, 1.0, rad)
-    slope = 1.0 / np.sqrt(2.0) - 1.0
-    d_a = np.where(degenerate, slope, a / safe - 1.0)
-    d_b = np.where(degenerate, slope, b / safe - 1.0)
-    return d_a, d_b
-
-
 def _orthant_system(A: np.ndarray, p: np.ndarray):
     def res_fn(x):
-        return psi_fb(x, A @ x + p)
+        psi, d_a, d_b = fb_pair(x, A @ x + p)
+        return psi, (d_a, d_b)
 
-    def jac_fn(x):
-        d_a, d_b = _fb_scalings(x, A @ x + p)
+    def jac_fn(x, aux):
+        d_a, d_b = aux
         return np.diag(d_a) + d_b[:, None] * A
 
     return res_fn, jac_fn
@@ -260,18 +251,21 @@ def orthant_lcp_solve(A, p, opts: SolverOptions) -> tuple[np.ndarray, SolveStatu
 
 def _case_ii_system(prob: LcpProblem):
     """Residual and Jacobian for the v = 0 branch, in the m variables (x, u)."""
-    k = prob.dims.k
+    k, m = prob.dims.k, prob.dims.m
     A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
 
     def res_fn(z):
         x, u = z[:k], z[k:]
-        return np.concatenate([psi_fb(x, A @ x + B @ u + p), C @ x + D @ u + q])
+        psi, d_a, d_b = fb_pair(x, A @ x + B @ u + p)
+        return np.concatenate([psi, C @ x + D @ u + q]), (d_a, d_b)
 
-    def jac_fn(z):
-        x, u = z[:k], z[k:]
-        d_a, d_b = _fb_scalings(x, A @ x + B @ u + p)
-        top = np.hstack([np.diag(d_a) + d_b[:, None] * A, d_b[:, None] * B])
-        return np.vstack([top, np.hstack([C, D])])
+    def jac_fn(z, aux):
+        d_a, d_b = aux
+        jac = np.empty((m, m))
+        jac[:k, :k] = np.diag(d_a) + d_b[:, None] * A
+        jac[:k, k:] = d_b[:, None] * B
+        jac[k:] = prob.T[k:]
+        return jac
 
     return res_fn, jac_fn
 
@@ -291,6 +285,14 @@ def _collect_roots(res_fn, jac_fn, starts, opts: SolverOptions) -> list[_RawSolv
             continue
         roots.append(raw)
     return roots
+
+
+# Case label of an augmented-branch answer, by the shape of its pair.
+_PAIR_LABEL = {
+    PairCase.U_ZERO: CaseLabel.CASE_I,
+    PairCase.V_ZERO: CaseLabel.CASE_II,
+    PairCase.GENERAL: CaseLabel.CASE_VI,
+}
 
 
 def _verified(prob: LcpProblem, z: PointZ) -> bool:
@@ -316,7 +318,9 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
     Order: the augmented smooth system from the default start and
     num_random_starts seeded extra starts (accepted when t is genuinely
     positive and the recovered pair passes the complementarity check), then
-    the u = 0 orthant branch, then the v = 0 mixed branch.  When nothing is
+    the u = 0 orthant branch, then the v = 0 mixed branch.  An augmented
+    answer is labelled by the shape of its pair (classify_pair), so one
+    whose image has a zero norm block is CASE_II.  When nothing is
     accepted, the report describes the best augmented-system attempt; a run
     that converged to an invalid point (t <= 0 or failed verification) is
     reported as Diverged.
@@ -334,9 +338,10 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
         t = rng.uniform(0.5, 1.5)
         starts.append(AugmentedPoint(xhat, u, t))
 
+    kernel = FbKernel(prob)
     best: _RawSolve | None = None
     for start in starts:
-        raw = _fb_raw(prob, start, opts)
+        raw = _fb_raw(kernel, start, opts)
         if best is None or raw.norm < best.norm:
             best = raw
         if raw.status is not SolveStatus.CONVERGED:
@@ -348,8 +353,10 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
             z = recover_solution(point, ACCEPT_TOL)
         except (EsoclcpError, ValueError):
             continue
-        if _verified(prob, z):
-            return _accept(prob, raw, point, CaseLabel.CASE_VI, z)
+        w = affine_map(prob, z)
+        if comp_pair_check(z, w, ACCEPT_TOL):
+            case, _ = classify_pair(z, w, ACCEPT_TOL)
+            return _accept(prob, raw, point, _PAIR_LABEL[case], z)
 
     res_fn, jac_fn = _orthant_system(prob.A, prob.p)
     rng = np.random.default_rng(opts.rng_seed)

@@ -1,6 +1,8 @@
 """Command-line behavior: exit codes, formats, env defaults, round-trips."""
 
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -176,3 +178,18 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 def test_gen_rejects_bad_dims(capsys):
     assert main(["gen", "--k", "0", "--l", "2"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_example_does_not_import_scipy_optimize():
+    # scipy.optimize serves only the Indeterminate regularity advisory; a
+    # fresh interpreter solving the example must not pay for its import.
+    code = (
+        "import contextlib, io, sys\n"
+        "from esoclcp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['solve', 'example-paper', '--json']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"

@@ -21,13 +21,17 @@ from esoclcp import (
     fd_jacobian,
     grad_merit,
     index_sets,
+    jacobian_blocks,
+    make_instance,
     merit,
     newton_solve,
     psi_fb,
     s0_check,
+    solve_esoclcp,
     stationarity_check,
 )
-from esoclcp.fbsystem import DEGENERATE_SLOPE
+from esoclcp.fbsystem import DEGENERATE_SLOPE, FbKernel, fb_pair
+from esoclcp.solvers import _case_ii_system, _orthant_system
 from conftest import random_problem
 
 
@@ -228,3 +232,113 @@ def test_certify_solution_verdicts(example):
     assert not certify_solution(example, start)
     # the singular equation block path must come back False, not raise
     assert not certify_solution(example, AugmentedPoint(np.ones(3), np.zeros(2), 0.0))
+
+
+def _reference_fb(prob, w):
+    """fb_residual and fb_jacobian assembled from the reformulation blocks."""
+    y = f_comp(prob, w)
+    rad = np.hypot(w.xhat, y)
+    degenerate = rad == 0.0
+    safe = np.where(degenerate, 1.0, rad)
+    d_a = np.where(degenerate, DEGENERATE_SLOPE, w.xhat / safe - 1.0)
+    d_b = np.where(degenerate, DEGENERATE_SLOPE, y / safe - 1.0)
+    blocks = jacobian_blocks(prob, w)
+    jac = np.block([
+        [np.diag(d_a) + d_b[:, None] * blocks.comp_x, d_b[:, None] * blocks.comp_ut],
+        [blocks.eq_x, blocks.eq_ut],
+    ])
+    return np.concatenate([psi_fb(w.xhat, y), f_eq(prob, w)]), jac
+
+
+def test_kernel_matches_reformulation_reference():
+    # Bitwise: the kernel does the reference's operations in the same order.
+    rng = np.random.default_rng(97)
+    for k in range(1, 6):
+        for l in range(1, 6):
+            prob = random_problem(rng, k, l)
+            kernel = FbKernel(prob)
+            for trial in range(3):
+                w = AugmentedPoint(rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, l), rng.uniform(0.1, 2.0))
+                arr = w.to_array()
+                res, aux = kernel.residual(arr)
+                want_res, want_jac = _reference_fb(prob, w)
+                assert np.array_equal(res, want_res), f"k={k} l={l} trial {trial}"
+                assert np.array_equal(kernel.jacobian(arr, aux), want_jac), f"k={k} l={l} trial {trial}"
+                assert np.array_equal(fb_residual(prob, w), want_res)
+                assert np.array_equal(fb_jacobian(prob, w), want_jac)
+
+
+def test_kernel_degenerate_pair_matches_reference():
+    # Row 0 of T picks x_0 = t and r_0 = -t, so the first pair is (0, 0).
+    rng = np.random.default_rng(101)
+    for k, l in [(1, 1), (2, 3), (5, 5)]:
+        t = 0.75
+        T = rng.uniform(-5.0, 5.0, (k + l, k + l))
+        T[0] = 0.0
+        T[0, 0] = 1.0
+        r = rng.uniform(-5.0, 5.0, k + l)
+        r[0] = -t
+        prob = LcpProblem(EsocDims(k, l), T, r)
+        xhat = rng.uniform(-1.0, 1.0, k)
+        xhat[0] = 0.0
+        w = AugmentedPoint(xhat, rng.uniform(-1.0, 1.0, l), t)
+        assert f_comp(prob, w)[0] == 0.0
+        res, aux = FbKernel(prob).residual(w.to_array())
+        want_res, want_jac = _reference_fb(prob, w)
+        jac = FbKernel(prob).jacobian(w.to_array(), aux)
+        assert np.array_equal(res, want_res) and np.array_equal(jac, want_jac), f"k={k} l={l}"
+        assert jac[0, 0] == DEGENERATE_SLOPE + DEGENERATE_SLOPE * T[0, 0]
+
+
+def test_fb_pair_slopes_and_degenerate_rule():
+    a = np.array([3.0, 0.0, -1.0, 0.0])
+    b = np.array([4.0, 2.0, 0.0, 0.0])
+    psi, d_a, d_b = fb_pair(a, b)
+    assert np.array_equal(psi, psi_fb(a, b))
+    assert np.array_equal(d_a, np.array([3.0 / 5.0 - 1.0, -1.0, -2.0, DEGENERATE_SLOPE]))
+    assert np.array_equal(d_b, np.array([4.0 / 5.0 - 1.0, 0.0, -1.0, DEGENERATE_SLOPE]))
+
+
+def test_reduced_jacobians_match_finite_differences():
+    rng = np.random.default_rng(103)
+    for trial in range(20):
+        k = int(rng.integers(1, 6))
+        l = int(rng.integers(1, 6))
+        prob = random_problem(rng, k, l)
+        for res_fn, jac_fn, n in [
+            (*_orthant_system(prob.A, prob.p), k),
+            (*_case_ii_system(prob), k + l),
+        ]:
+            at = rng.uniform(-1.0, 1.0, n)
+            res, aux = res_fn(at)
+            analytic = jac_fn(at, aux)
+            numeric = fd_jacobian(lambda v: res_fn(v)[0], at)
+            err = np.abs(analytic - numeric).max() / (1.0 + np.abs(analytic).max())
+            assert err <= 1e-6, f"trial {trial} n={n}: mismatch {err:.3e}"
+
+
+def test_certify_solution_is_the_regular_verdict(example):
+    # certify_solution decides the Regular branch directly; it must agree
+    # with the full verdict, a SingularMatrix from it counting as False.
+    def via_verdict(prob, w):
+        if not stationarity_check(prob, w):
+            return False
+        try:
+            return fb_regularity_check(prob, w).kind is RegularityKind.REGULAR
+        except SingularMatrix:
+            return False
+
+    points = [(example, newton_solve(example, SolverOptions(method="newton", residual_tol=1e-12)).point)]
+    points.append((example, AugmentedPoint(np.ones(3), np.ones(2) / np.sqrt(2.0), 1.0)))
+    points.append((example, AugmentedPoint(np.ones(3), np.zeros(2), 0.0)))
+    T = np.eye(5)
+    T[0, 0] = 0.0
+    singular_a = LcpProblem(EsocDims(3, 2), T, np.zeros(5), allow_singular=True)
+    points.append((singular_a, AugmentedPoint(np.zeros(3), np.zeros(2), 0.0)))
+    for seed in range(200, 215):
+        inst = make_instance("vi", 1 + seed % 5, 1 + (seed // 5) % 5, seed)
+        rep = solve_esoclcp(inst.problem)
+        points.append((inst.problem, rep.point))
+    verdicts = [certify_solution(prob, w) for prob, w in points]
+    assert verdicts == [via_verdict(prob, w) for prob, w in points]
+    assert True in verdicts and False in verdicts

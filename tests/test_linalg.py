@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from esoclcp import (
     DimensionMismatch,
@@ -156,3 +157,15 @@ def test_fd_jacobian_on_polynomial_map():
 def test_fd_jacobian_rejects_bad_step():
     with pytest.raises(ValueError):
         fd_jacobian(lambda v: v, np.ones(2), h=0.0)
+
+
+def test_lu_factor_matches_scipy_and_is_read_only():
+    rng = np.random.default_rng(107)
+    for n in range(1, 9):
+        m = rng.uniform(-3.0, 3.0, (n, n))
+        f = lu_factor(m)
+        lu, piv = scipy.linalg.lu_factor(m)
+        assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv), f"n={n}"
+        b = rng.uniform(-3.0, 3.0, n)
+        assert np.array_equal(lu_solve(f, b), scipy.linalg.lu_solve((lu, piv), b)), f"n={n}"
+        assert not f.lu.flags.writeable and not f.piv.flags.writeable

@@ -173,3 +173,43 @@ def test_pipeline_newton_method(example):
     assert rep.status is SolveStatus.CONVERGED
     assert rep.case_label is CaseLabel.CASE_VI
     assert rep.certified
+
+
+# (case, k, l, seed, status, iterations) of the default pipeline, recorded
+# before the augmented system moved onto FbKernel.  It covers the augmented,
+# u = 0 and v = 0 branches and the Diverged and MaxIter outcomes.
+PINNED_RUNS = [
+    ("vi", 1, 1, 200, "Converged", 9),
+    ("vi", 2, 2, 201, "Converged", 7),
+    ("vi", 3, 3, 202, "Converged", 11),
+    ("vi", 4, 4, 203, "Converged", 8),
+    ("vi", 5, 5, 204, "Converged", 12),
+    ("vi", 1, 2, 205, "Converged", 8),
+    ("vi", 2, 3, 206, "Converged", 10),
+    ("vi", 3, 4, 207, "Converged", 81),
+    ("vi", 4, 5, 208, "Converged", 16),
+    ("vi", 5, 1, 209, "Converged", 8),
+    ("i", 5, 4, 0, "Converged", 6),
+    ("ii", 2, 1, 13, "Converged", 6),
+    ("vi", 5, 2, 24, "Diverged", 11),
+    ("vi", 2, 5, 114, "MaxIter", 200),
+]
+
+
+def test_pipeline_status_and_iterations_pinned():
+    got = []
+    for case, k, l, seed, _, _ in PINNED_RUNS:
+        rep = solve_esoclcp(make_instance(case, k, l, seed).problem)
+        got.append((case, k, l, seed, rep.status.value, rep.iterations))
+    assert got == PINNED_RUNS
+
+
+def test_pipeline_labels_zero_image_answer_case_ii():
+    # The augmented branch solves this planted case-vi instance at a point
+    # whose image has a zero norm block, which makes it a case-ii answer.
+    inst = make_instance("vi", 2, 2, 201)
+    rep = solve_esoclcp(inst.problem)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.point.t > 0.0
+    assert rep.case_label is CaseLabel.CASE_II
+    assert case_ii_check(inst.problem, rep.recovered, 1e-6)
