@@ -48,8 +48,6 @@ def fb_pair(a, b):
     """
     rad = np.hypot(a, b)
     psi = rad - (a + b)
-    if np.count_nonzero(rad) == rad.size:
-        return psi, a / rad - 1.0, b / rad - 1.0
     degenerate = rad == 0.0
     safe = np.where(degenerate, 1.0, rad)
     d_a = np.where(degenerate, DEGENERATE_SLOPE, a / safe - 1.0)

@@ -71,15 +71,17 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
     if n != ncols:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     if n == 0:
-        return LuFactors(lu=np.empty((0, 0)), piv=np.empty(0, dtype=np.int32), n=0)
-    lu, piv, _ = dgetrf(a)
-    pivots = np.abs(lu.diagonal())
-    threshold = PIVOT_RTOL * np.abs(a).max()
-    if pivots.min() <= threshold:
-        raise SingularMatrix(
-            f"{name} is singular to working precision "
-            f"(pivot {pivots.min():.3e} <= {threshold:.3e})"
-        )
+        # dgetrf rejects an empty matrix; its factors are empty too.
+        lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
+    else:
+        lu, piv, _ = dgetrf(a)
+        pivots = np.abs(lu.diagonal())
+        threshold = PIVOT_RTOL * np.abs(a).max()
+        if pivots.min() <= threshold:
+            raise SingularMatrix(
+                f"{name} is singular to working precision "
+                f"(pivot {pivots.min():.3e} <= {threshold:.3e})"
+            )
     lu.setflags(write=False)
     piv.setflags(write=False)
     return LuFactors(lu=lu, piv=piv, n=n)
@@ -91,6 +93,7 @@ def lu_solve(f: LuFactors, b):
     if rhs.shape[0] != f.n:
         raise DimensionMismatch(f"lu_solve: rhs has length {rhs.shape[0]}, expected {f.n}")
     if f.n == 0:
+        # dgetrs rejects n = 0; the solution of an empty system is empty.
         return rhs.copy()
     x, _ = dgetrs(f.lu, f.piv, rhs)
     return x

@@ -353,9 +353,8 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
             z = recover_solution(point, ACCEPT_TOL)
         except (EsoclcpError, ValueError):
             continue
-        w = affine_map(prob, z)
-        if comp_pair_check(z, w, ACCEPT_TOL):
-            case, _ = classify_pair(z, w, ACCEPT_TOL)
+        case, _ = classify_pair(z, affine_map(prob, z), ACCEPT_TOL)
+        if case is not PairCase.NOT_COMPLEMENTARY:
             return _accept(prob, raw, point, _PAIR_LABEL[case], z)
 
     res_fn, jac_fn = _orthant_system(prob.A, prob.p)
