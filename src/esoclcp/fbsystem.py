@@ -38,47 +38,74 @@ def psi_fb(a, b):
     return float(out) if out.ndim == 0 else out
 
 
-def fb_pair(a, b):
+def fb_pair(a, b, out=None):
     """psi(a, b) over arrays of pairs, with its slopes d_a and d_b.
 
     The slopes are d_a = a/rad - 1 and d_b = b/rad - 1 with
     rad = sqrt(a^2 + b^2); at an exactly degenerate pair both are fixed to
     DEGENERATE_SLOPE so runs stay reproducible.  Every FB system evaluates
-    its psi rows here and hands the slopes on to its Jacobian.
+    its psi rows here, into out when given, and hands the slopes on to its
+    Jacobian.
     """
     rad = np.hypot(a, b)
-    psi = rad - (a + b)
+    psi = np.subtract(rad, a + b, out=out)
     degenerate = rad == 0.0
     safe = np.where(degenerate, 1.0, rad)
-    d_a = np.where(degenerate, DEGENERATE_SLOPE, a / safe - 1.0)
-    d_b = np.where(degenerate, DEGENERATE_SLOPE, b / safe - 1.0)
+    d_a = a / safe
+    d_a -= 1.0
+    d_b = b / safe
+    d_b -= 1.0
+    d_a[degenerate] = DEGENERATE_SLOPE
+    d_b[degenerate] = DEGENERATE_SLOPE
     return psi, d_a, d_b
+
+
+def diagonal_terms(rows: int, cols: int, n: int):
+    """A rows x cols buffer for np.diag(d) terms, and its writable diagonal.
+
+    Writing d into the diagonal and adding the buffer to a contiguous block
+    of Jacobian rows is the arithmetic of adding np.diag(d) to the block's
+    leading n x n part: that part holds +0.0 off the diagonal, as np.diag
+    gives, and the rest holds -0.0, which leaves every x unchanged (x + -0.0
+    is x, -0.0 included).  One contiguous add replaces a strided one.
+    """
+    buf = np.full((rows, cols), -0.0)
+    buf[:n, :n] = 0.0
+    return buf, buf.reshape(-1)[: n * (cols + 1) : cols + 1]
 
 
 class FbKernel:
     """The augmented FB system of one problem, evaluated on raw arrays.
 
     Built once per problem, it holds the blocks of T and r and the constant
-    pieces of the Jacobian: the top rows [A | B | A e] and the sums e'A,
-    e'B, C e and e'Ae.  A point is the array (xhat, u, t) of length m + 1;
-    nothing is validated here.  residual returns the stacked residual with
-    the intermediates (x, e'y, d_a, d_b) that jacobian takes at the same
-    point, so T z + r is evaluated once per point.  The arithmetic is that
-    of f_comp, f_eq and jacobian_blocks, operation for operation.
+    pieces of the Jacobian: the psi rows' [A | B | A e], the equality rows'
+    [e'A | e'B | 0] and [C | D | 0], C e and e'Ae.  A point is the array
+    (xhat, u, t) of length m + 1; nothing is validated here.  residual
+    returns the stacked residual with the intermediates (x, y, e'y, d_a,
+    d_b) that jacobian takes at the same point, so T z + r is evaluated
+    once per point.  The arithmetic is that of f_comp, f_eq and
+    jacobian_blocks, operation for operation.  jacobian rewrites the
+    kernel's diagonal-terms buffer on every call, so a kernel serves one
+    thread at a time.
     """
 
     def __init__(self, prob: LcpProblem):
         k, l = prob.dims.k, prob.dims.l
+        m = k + l
         A, B = prob.A, prob.B
-        self.k, self.m = k, k + l
+        self.prob = prob
+        self.k, self.m = k, m
         self.T, self.r = prob.T, prob.r
         self.C, self.D, self.q = prob.C, prob.D, prob.q
         self.top = np.hstack([A, B, A.sum(axis=1)[:, None]])
-        self.eA = A.sum(axis=0)
-        self.eB = B.sum(axis=0)
+        self.eAB = np.concatenate([A.sum(axis=0), B.sum(axis=0), [0.0]])
+        self.CD = np.hstack([prob.T[k:], np.zeros((l, 1))])
         self.Ce = self.C.sum(axis=1)
         self.eAe = A.sum()
         self.eye_l = np.eye(l)
+        # diag(d_a) in the psi rows and (e'y) I in the equality rows' D block.
+        self.diag, self.d_a = diagonal_terms(m, m + 1, k)
+        self.ety_eye = self.diag[k:, k:m]
 
     def residual(self, w: np.ndarray):
         """(psi(xhat, y), t v + (e'y) u, t^2 - ||u||^2) and the intermediates."""
@@ -88,28 +115,55 @@ class FbKernel:
         img = self.T @ z + self.r
         y, v = img[:k], img[k:]
         ety = y.sum()
-        psi, d_a, d_b = fb_pair(xhat, y)
         res = np.empty(m + 1)
-        res[:k] = psi
+        _, d_a, d_b = fb_pair(xhat, y, out=res[:k])
         res[k:m] = t * v + u * ety
         res[m] = t * t - u @ u
-        return res, (z[:k], ety, d_a, d_b)
+        return res, (z[:k], y, ety, d_a, d_b)
 
     def jacobian(self, w: np.ndarray, aux) -> np.ndarray:
-        """Jacobian at w, given the intermediates residual returned for w."""
+        """Jacobian at w, given the intermediates residual returned for w.
+
+        Rows are filled whole, so every pass is contiguous.  The equality
+        rows are u [e'A | e'B] + [0 | (e'y) I] + t [C | D], the terms of
+        jacobian_blocks in the same order, each sum with its operands
+        swapped; their last column is then overwritten with the t column.
+        """
         k, m = self.k, self.m
         u, t = w[k:m], w[m]
-        x, ety, d_a, d_b = aux
+        x, _, ety, d_a, d_b = aux
         jac = np.empty((m + 1, m + 1))
-        jac[:k] = d_b[:, None] * self.top
-        jac[:k, :k] += np.diag(d_a)
-        jac[k:m, :k] = t * self.C + u[:, None] * self.eA
-        jac[k:m, k:m] = ety * self.eye_l + u[:, None] * self.eB + t * self.D
+        np.multiply(d_b[:, None], self.top, out=jac[:k])
+        np.multiply(u[:, None], self.eAB, out=jac[k:m])
+        self.d_a[:] = d_a
+        np.multiply(ety, self.eye_l, out=self.ety_eye)
+        rows = jac[:m]
+        rows += self.diag
+        eq = jac[k:m]
+        eq += t * self.CD
         jac[k:m, m] = self.C @ x + t * self.Ce + self.eAe * u + self.D @ u + self.q
         jac[m, :k] = 0.0
         jac[m, k:m] = -2.0 * u
         jac[m, m] = 2.0 * t
         return jac
+
+    def certified(self, w: np.ndarray, res: np.ndarray, aux, eps: float = 1e-6, tol: float = 1e-3) -> bool:
+        """certify_solution at w, given residual(w); nothing is validated.
+
+        w is stationary for the merit (J'F zero to tol, relative to
+        1 + ||F||), A is nonsingular and every orthant pair is
+        complementary within eps, which is index_sets with no residual
+        index.
+        """
+        grad = self.jacobian(w, aux).T @ res
+        if not float(np.abs(grad).max()) <= tol * (1.0 + float(np.linalg.norm(res))):
+            return False
+        try:
+            self.prob.lu_A
+        except SingularMatrix:
+            return False
+        xhat, y = w[: self.k], aux[1]
+        return bool(((xhat >= -eps) & (y >= -eps) & (np.abs(xhat * y) <= eps)).all())
 
 
 def fb_residual(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
@@ -251,15 +305,12 @@ class RegularityVerdict:
     s0_advisory: bool | None = None
 
 
-def fb_regularity_check(
-    prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6, tol: float = 1e-3
-) -> RegularityVerdict:
+def fb_regularity_check(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6) -> RegularityVerdict:
     """Certify regularity of the merit function at w where that is decidable.
 
-    eps drives the index-set classification.  tol is accepted so callers
-    can thread one (eps, tol) pair through certification; the implemented
-    branches consult only eps.  Raises SingularMatrix if the equality-block
-    Jacobian cannot be eliminated in the Indeterminate branch.
+    eps drives the index-set classification.  Raises SingularMatrix if the
+    equality-block Jacobian cannot be eliminated in the Indeterminate
+    branch.
     """
     _check_dims(prob, w)
     if not eps > 0:
@@ -312,12 +363,11 @@ def certify_solution(
     no residual indices at eps.  Never raises on a singular block: such a
     point is simply not certified.
     """
-    if not stationarity_check(prob, w, tol):
-        return False
+    _check_dims(prob, w)
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol}")
     if not eps > 0:
         raise ValueError(f"eps must be positive, got {eps}")
-    try:
-        prob.lu_A
-    except SingularMatrix:
-        return False
-    return not index_sets(w.xhat, f_comp(prob, w), eps).res
+    kernel = FbKernel(prob)
+    arr = w.to_array()
+    return kernel.certified(arr, *kernel.residual(arr), eps, tol)

@@ -8,7 +8,8 @@ nonsingularity is an explicit verdict (SingularMatrix) instead of a warning
 or a silently garbage solve.
 """
 
-from dataclasses import dataclass
+import math
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetrs
@@ -30,7 +31,7 @@ def as_vector(v, name="vector"):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name}: expected 1-d, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
 
@@ -45,8 +46,7 @@ def as_matrix(m, name="matrix"):
     return arr
 
 
-@dataclass(frozen=True)
-class LuFactors:
+class LuFactors(NamedTuple):
     """Packed LU factorization P M = L U of a square matrix M.
 
     `lu` stores L below the diagonal (unit diagonal implied) and U on and
@@ -61,30 +61,37 @@ class LuFactors:
 def lu_factor(m, name: str = "matrix") -> LuFactors:
     """LU-factor a square matrix with partial pivoting (LAPACK dgetrf).
 
-    Raises SingularMatrix when any pivot magnitude is at most
-    PIVOT_RTOL times the largest entry of the input; `name` labels the
-    matrix in that message.  An exactly zero pivot, which dgetrf reports
-    through its info code, fails the same test.
+    Raises ValueError on a non-finite entry and SingularMatrix when any
+    pivot magnitude is at most PIVOT_RTOL times the largest entry of the
+    input; `name` labels the matrix in both messages.  An exactly zero
+    pivot, which dgetrf reports through its info code, fails the same test.
     """
-    a = as_matrix(m, name)
-    n, ncols = a.shape
-    if n != ncols:
+    a = np.asarray(m, dtype=float)
+    if a.ndim != 2:
+        raise DimensionMismatch(f"{name}: expected 2-d, got shape {a.shape}")
+    n = a.shape[0]
+    if a.shape[1] != n:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     if n == 0:
         # dgetrf rejects an empty matrix; its factors are empty too.
         lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
     else:
+        # One pass serves the finite check (a NaN or inf reaches the max)
+        # and the scale of the pivot threshold.
+        scale = np.abs(a).max()
+        if not math.isfinite(scale):
+            raise ValueError(f"{name}: entries must be finite")
         lu, piv, _ = dgetrf(a)
-        pivots = np.abs(lu.diagonal())
-        threshold = PIVOT_RTOL * np.abs(a).max()
-        if pivots.min() <= threshold:
+        pivot = np.abs(lu.diagonal()).min()
+        threshold = PIVOT_RTOL * scale
+        if pivot <= threshold:
             raise SingularMatrix(
                 f"{name} is singular to working precision "
-                f"(pivot {pivots.min():.3e} <= {threshold:.3e})"
+                f"(pivot {pivot:.3e} <= {threshold:.3e})"
             )
     lu.setflags(write=False)
     piv.setflags(write=False)
-    return LuFactors(lu=lu, piv=piv, n=n)
+    return LuFactors(lu, piv, n)
 
 
 def lu_solve(f: LuFactors, b):

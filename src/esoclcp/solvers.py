@@ -5,7 +5,9 @@ All iterations share one engine: evaluate the residual, stop when its
 sup-norm is at or below the tolerance, otherwise take a full step from
 either the Newton system J d = -F or the damped normal equations
 (J^T J + mu I) d = -J^T F.  No line search; a divergence guard aborts runs
-whose residual grows a million-fold over the best seen.
+whose residual grows a million-fold over the best seen, and a step matrix
+that fails the pivot test ends the run as SingularJacobian under either
+method.
 
 The pipeline tries the augmented smooth system first (multi-start), then
 the two degenerate branches: u = 0, which reduces to a k-variable orthant
@@ -15,6 +17,7 @@ is accepted only after the independent complementarity checks pass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -22,11 +25,11 @@ import numpy as np
 
 from .cones import PairCase, PointZ, classify_pair, comp_pair_check
 from .errors import EsoclcpError, SingularMatrix
-from .fbsystem import FbKernel, certify_solution, fb_pair, fb_residual
+from .fbsystem import FbKernel, certify_solution, diagonal_terms, fb_pair
 
 # Not called here, but kept bound in this namespace, where per-layer tracing
 # (perfbench/tracer.py) looks up the package's layers.
-from .fbsystem import fb_jacobian, psi_fb  # noqa: F401
+from .fbsystem import fb_jacobian, fb_residual, psi_fb  # noqa: F401
 from .linalg import as_matrix, as_vector, lu_factor, lu_solve
 from .reformulation import (
     AugmentedPoint,
@@ -125,13 +128,15 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     """Shared Newton/LM engine over a plain vector of unknowns.
 
     res_fn(x) returns the residual and the intermediates that jac_fn(x, aux)
-    takes to build the Jacobian at the same point.
+    takes to build the Jacobian at the same point.  x is never changed in
+    place, so the best iterate is kept by reference.  The running minimum
+    of the residual norm is best_norm, which the divergence guard uses.
     """
     x = np.array(x0, dtype=float)
     res, aux = res_fn(x)
     norm = float(np.abs(res).max())
     history = [norm]
-    best_x, best_norm, min_norm = x.copy(), norm, norm
+    best_x, best_norm = x, norm
     k = 0
     newton = opts.method == "newton"
     damping = None if newton else opts.mu * np.eye(x.size)
@@ -141,45 +146,43 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
         if k >= opts.max_iter:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
         jac = jac_fn(x, aux)
-        if newton:
-            try:
+        try:
+            if newton:
                 d = lu_solve(lu_factor(jac, name="jacobian"), -res)
-            except SingularMatrix:
-                return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
-        else:
-            normal = jac.T @ jac + damping
-            d = lu_solve(lu_factor(normal, name="normal matrix"), -(jac.T @ res))
+            else:
+                normal = jac.T @ jac + damping
+                d = lu_solve(lu_factor(normal, name="normal matrix"), -(jac.T @ res))
+        except SingularMatrix:
+            return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
         x = x + d
         res, aux = res_fn(x)
-        norm = float(np.abs(res).max()) if np.isfinite(res).all() else np.inf
-        if not np.isfinite(norm):
+        # One pass: a NaN or inf entry makes the max non-finite.
+        norm = float(np.abs(res).max())
+        if not math.isfinite(norm):
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
         k += 1
         history.append(norm)
         if norm < best_norm:
-            best_x, best_norm = x.copy(), norm
-        min_norm = min(min_norm, norm)
-        if norm > DIVERGENCE_FACTOR * min_norm:
+            best_x, best_norm = x, norm
+        elif norm > DIVERGENCE_FACTOR * best_norm:
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
 
 
-def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> AugmentedPoint:
+def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
+    """opts.start as an (xhat, u, t) array."""
     if opts.start is None or opts.start == "default":
         k, l = prob.dims.k, prob.dims.l
-        return AugmentedPoint(np.ones(k), np.ones(l) / np.sqrt(l), 1.0)
+        return np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l), [1.0]])
     if isinstance(opts.start, AugmentedPoint):
         if opts.start.dims != prob.dims:
             raise ValueError(f"start dims {opts.start.dims} do not match problem {prob.dims}")
-        return opts.start
+        return opts.start.to_array()
     raise ValueError(f"unrecognized start preset {opts.start!r}")
 
 
-def _fb_raw(kernel: FbKernel, start: AugmentedPoint, opts: SolverOptions) -> _RawSolve:
-    return _iterate(kernel.residual, kernel.jacobian, start.to_array(), opts)
-
-
 def _fb_report(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
-    raw = _fb_raw(FbKernel(prob), _resolve_start(opts, prob), opts)
+    kernel = FbKernel(prob)
+    raw = _iterate(kernel.residual, kernel.jacobian, _resolve_start(opts, prob), opts)
     point = AugmentedPoint.from_array(prob.dims, raw.x)
     recovered = None
     certified = False
@@ -218,13 +221,19 @@ def lm_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
 
 
 def _orthant_system(A: np.ndarray, p: np.ndarray):
+    k = A.shape[0]
+    diag, diag_d_a = diagonal_terms(k, k, k)
+
     def res_fn(x):
         psi, d_a, d_b = fb_pair(x, A @ x + p)
         return psi, (d_a, d_b)
 
     def jac_fn(x, aux):
         d_a, d_b = aux
-        return np.diag(d_a) + d_b[:, None] * A
+        jac = d_b[:, None] * A
+        diag_d_a[:] = d_a
+        jac += diag
+        return jac
 
     return res_fn, jac_fn
 
@@ -253,18 +262,24 @@ def _case_ii_system(prob: LcpProblem):
     """Residual and Jacobian for the v = 0 branch, in the m variables (x, u)."""
     k, m = prob.dims.k, prob.dims.m
     A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
+    top, bottom = prob.T[:k], prob.T[k:]
+    diag, diag_d_a = diagonal_terms(k, m, k)
 
     def res_fn(z):
         x, u = z[:k], z[k:]
-        psi, d_a, d_b = fb_pair(x, A @ x + B @ u + p)
-        return np.concatenate([psi, C @ x + D @ u + q]), (d_a, d_b)
+        res = np.empty(m)
+        _, d_a, d_b = fb_pair(x, A @ x + B @ u + p, out=res[:k])
+        res[k:] = C @ x + D @ u + q
+        return res, (d_a, d_b)
 
     def jac_fn(z, aux):
         d_a, d_b = aux
         jac = np.empty((m, m))
-        jac[:k, :k] = np.diag(d_a) + d_b[:, None] * A
-        jac[:k, k:] = d_b[:, None] * B
-        jac[k:] = prob.T[k:]
+        psi_rows = jac[:k]
+        np.multiply(d_b[:, None], top, out=psi_rows)
+        diag_d_a[:] = d_a
+        psi_rows += diag
+        jac[k:] = bottom
         return jac
 
     return res_fn, jac_fn
@@ -299,17 +314,31 @@ def _verified(prob: LcpProblem, z: PointZ) -> bool:
     return comp_pair_check(z, affine_map(prob, z), ACCEPT_TOL)
 
 
-def _accept(prob, raw, point, label, recovered) -> SolveReport:
+def _accept(kernel: FbKernel, raw, point, label, recovered) -> SolveReport:
+    arr = point.to_array()
+    res, aux = kernel.residual(arr)
     return SolveReport(
         status=SolveStatus.CONVERGED,
         point=point,
-        residual_norm=float(np.abs(fb_residual(prob, point)).max()),
+        residual_norm=float(np.abs(res).max()),
         iterations=raw.iterations,
         residual_history=raw.history,
         case_label=label,
-        certified=certify_solution(prob, point),
+        certified=kernel.certified(arr, res, aux),
         recovered=recovered,
     )
+
+
+def _starts(first: np.ndarray, opts: SolverOptions, bounds):
+    """first, then num_random_starts seeded starts, drawn lazily.
+
+    Each seeded start joins one uniform draw per (low, high, size) of
+    bounds, in order; every branch restarts the generator at rng_seed.
+    """
+    yield first
+    rng = np.random.default_rng(opts.rng_seed)
+    for _ in range(opts.num_random_starts):
+        yield np.concatenate([rng.uniform(low, high, size) for low, high, size in bounds])
 
 
 def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveReport:
@@ -328,59 +357,47 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
     if opts is None:
         opts = SolverOptions()
     dims = prob.dims
-    k, l = dims.k, dims.l
-
-    starts = [_resolve_start(opts, prob)]
-    rng = np.random.default_rng(opts.rng_seed)
-    for _ in range(opts.num_random_starts):
-        xhat = rng.uniform(0.0, 1.0, k)
-        u = rng.uniform(-1.0, 1.0, l)
-        t = rng.uniform(0.5, 1.5)
-        starts.append(AugmentedPoint(xhat, u, t))
+    k, l, m = dims.k, dims.l, dims.m
 
     kernel = FbKernel(prob)
+    starts = _starts(_resolve_start(opts, prob), opts, [(0.0, 1.0, k), (-1.0, 1.0, l), (0.5, 1.5, 1)])
     best: _RawSolve | None = None
     for start in starts:
-        raw = _fb_raw(kernel, start, opts)
+        raw = _iterate(kernel.residual, kernel.jacobian, start, opts)
         if best is None or raw.norm < best.norm:
             best = raw
-        if raw.status is not SolveStatus.CONVERGED:
+        if raw.status is not SolveStatus.CONVERGED or not raw.x[m] > T_MIN:
             continue
         point = AugmentedPoint.from_array(dims, raw.x)
-        if not point.t > T_MIN:
-            continue
         try:
             z = recover_solution(point, ACCEPT_TOL)
         except (EsoclcpError, ValueError):
             continue
         case, _ = classify_pair(z, affine_map(prob, z), ACCEPT_TOL)
         if case is not PairCase.NOT_COMPLEMENTARY:
-            return _accept(prob, raw, point, _PAIR_LABEL[case], z)
+            return _accept(kernel, raw, point, _PAIR_LABEL[case], z)
 
     res_fn, jac_fn = _orthant_system(prob.A, prob.p)
-    rng = np.random.default_rng(opts.rng_seed)
-    ostarts = [np.ones(k)] + [rng.uniform(0.0, 1.0, k) for _ in range(opts.num_random_starts)]
-    for raw in _collect_roots(res_fn, jac_fn, ostarts, opts):
+    starts = _starts(np.ones(k), opts, [(0.0, 1.0, k)])
+    for raw in _collect_roots(res_fn, jac_fn, starts, opts):
         x = raw.x
         z = PointZ(x, np.zeros(l))
         if case_i_check(prob, x, ACCEPT_TOL) and _verified(prob, z):
             point = AugmentedPoint(x, np.zeros(l), 0.0)
-            report = _accept(prob, raw, point, CaseLabel.CASE_I, z)
+            report = _accept(kernel, raw, point, CaseLabel.CASE_I, z)
             if report.residual_norm <= opts.residual_tol:
                 return report
 
     res_fn, jac_fn = _case_ii_system(prob)
-    rng = np.random.default_rng(opts.rng_seed)
-    iistarts = [np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l)])]
-    for _ in range(opts.num_random_starts):
-        iistarts.append(np.concatenate([rng.uniform(0.0, 1.0, k), rng.uniform(-1.0, 1.0, l)]))
-    for raw in _collect_roots(res_fn, jac_fn, iistarts, opts):
+    first = np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l)])
+    starts = _starts(first, opts, [(0.0, 1.0, k), (-1.0, 1.0, l)])
+    for raw in _collect_roots(res_fn, jac_fn, starts, opts):
         x, u = raw.x[:k], raw.x[k:]
         z = PointZ(x, u)
         if case_ii_check(prob, z, ACCEPT_TOL) and _verified(prob, z):
             t = float(np.linalg.norm(u))
             point = AugmentedPoint(x - t, u, t)
-            report = _accept(prob, raw, point, CaseLabel.CASE_II, z)
+            report = _accept(kernel, raw, point, CaseLabel.CASE_II, z)
             if report.residual_norm <= opts.residual_tol:
                 return report
 

@@ -193,3 +193,13 @@ def test_solve_example_does_not_import_scipy_optimize():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "False"
+
+
+def test_solve_with_zero_damping_exits_zero(tmp_path, capsys):
+    # A singular LM normal matrix ends one start, not the whole command.
+    path = tmp_path / "vi.json"
+    assert main(["gen", "--k", "4", "--l", "1", "--case", "vi", "--seed", "3", "--out", str(path)]) == 0
+    code = main(["solve", str(path), "--mu", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "status: Converged" in out

@@ -1,5 +1,7 @@
 """Fischer-Burmeister residual, Jacobian, merit, index sets, regularity."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -234,14 +236,19 @@ def test_certify_solution_verdicts(example):
     assert not certify_solution(example, AugmentedPoint(np.ones(3), np.zeros(2), 0.0))
 
 
+def _reference_slopes(a, b):
+    rad = np.hypot(a, b)
+    degenerate = rad == 0.0
+    safe = np.where(degenerate, 1.0, rad)
+    d_a = np.where(degenerate, DEGENERATE_SLOPE, a / safe - 1.0)
+    d_b = np.where(degenerate, DEGENERATE_SLOPE, b / safe - 1.0)
+    return psi_fb(a, b), d_a, d_b
+
+
 def _reference_fb(prob, w):
     """fb_residual and fb_jacobian assembled from the reformulation blocks."""
     y = f_comp(prob, w)
-    rad = np.hypot(w.xhat, y)
-    degenerate = rad == 0.0
-    safe = np.where(degenerate, 1.0, rad)
-    d_a = np.where(degenerate, DEGENERATE_SLOPE, w.xhat / safe - 1.0)
-    d_b = np.where(degenerate, DEGENERATE_SLOPE, y / safe - 1.0)
+    _, d_a, d_b = _reference_slopes(w.xhat, y)
     blocks = jacobian_blocks(prob, w)
     jac = np.block([
         [np.diag(d_a) + d_b[:, None] * blocks.comp_x, d_b[:, None] * blocks.comp_ut],
@@ -342,3 +349,85 @@ def test_certify_solution_is_the_regular_verdict(example):
     verdicts = [certify_solution(prob, w) for prob, w in points]
     assert verdicts == [via_verdict(prob, w) for prob, w in points]
     assert True in verdicts and False in verdicts
+
+
+def _same_bits(a, b):
+    # Bitwise: unlike array_equal, tells -0.0 from +0.0.
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_reduced_systems_match_reference_bit_for_bit():
+    # pinned makes row 0 of T pick x_0 with r_0 = 0, so x_0 = 0 gives the
+    # degenerate pair (0, 0).  A zero x_i with a positive partner gives
+    # d_b = +0.0 and so -0.0 products, which the diagonal terms must turn
+    # into +0.0 inside the leading k x k block and keep elsewhere.
+    rng = np.random.default_rng(109)
+    for k, l, pinned in itertools.product(range(1, 5), range(1, 4), (False, True)):
+        T = rng.uniform(-5.0, 5.0, (k + l, k + l))
+        r = rng.uniform(-5.0, 5.0, k + l)
+        if pinned:
+            T[0] = 0.0
+            T[0, 0] = 1.0
+            r[0] = 0.0
+        prob = LcpProblem(EsocDims(k, l), T, r, allow_singular=True)
+        A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
+        for trial in range(4):
+            z = rng.uniform(-1.0, 1.0, k + l)
+            if pinned or trial % 2:
+                z[0] = 0.0
+            if trial == 3:
+                z[k] = 0.0
+            x, u = z[:k], z[k:]
+
+            res_fn, jac_fn = _orthant_system(A, p)
+            psi, d_a, d_b = _reference_slopes(x, A @ x + p)
+            res, aux = res_fn(x)
+            assert _same_bits(res, psi), f"k={k} l={l} trial {trial}"
+            assert _same_bits(jac_fn(x, aux), np.diag(d_a) + d_b[:, None] * A), f"k={k} l={l} trial {trial}"
+
+            res_fn, jac_fn = _case_ii_system(prob)
+            psi, d_a, d_b = _reference_slopes(x, A @ x + B @ u + p)
+            want_jac = np.block([[np.diag(d_a) + d_b[:, None] * A, d_b[:, None] * B], [C, D]])
+            res, aux = res_fn(z)
+            assert _same_bits(res, np.concatenate([psi, C @ x + D @ u + q])), f"k={k} l={l} trial {trial}"
+            assert _same_bits(jac_fn(z, aux), want_jac), f"k={k} l={l} trial {trial}"
+            if pinned:
+                assert d_a[0] == DEGENERATE_SLOPE
+
+
+def test_kernel_matches_reference_bit_for_bit_with_zeros():
+    rng = np.random.default_rng(113)
+    for k in range(1, 5):
+        for l in range(1, 4):
+            for trial in range(6):
+                t = rng.uniform(0.1, 2.0)
+                T = rng.uniform(-5.0, 5.0, (k + l, k + l))
+                r = rng.uniform(-5.0, 5.0, k + l)
+                xhat = rng.uniform(-1.0, 1.0, k)
+                u = rng.uniform(-1.0, 1.0, l)
+                if trial % 3 < 2:
+                    xhat[0] = 0.0
+                if trial % 3 == 0:
+                    # f_comp_0 = x_0 - t = xhat_0 = 0: a degenerate first pair.
+                    T[0] = 0.0
+                    T[0, 0] = 1.0
+                    r[0] = -t
+                if trial >= 3:
+                    u[0] = 0.0
+                prob = LcpProblem(EsocDims(k, l), T, r, allow_singular=True)
+                w = AugmentedPoint(xhat, u, t)
+                kernel = FbKernel(prob)
+                res, aux = kernel.residual(w.to_array())
+                want_res, want_jac = _reference_fb(prob, w)
+                assert _same_bits(res, want_res), f"k={k} l={l} trial {trial}"
+                assert _same_bits(kernel.jacobian(w.to_array(), aux), want_jac), f"k={k} l={l} trial {trial}"
+
+
+def test_certify_solution_validates_its_tolerances(example):
+    # Checked up front, also where the point is not stationary.
+    start = AugmentedPoint(np.ones(3), np.ones(2) / np.sqrt(2.0), 1.0)
+    assert not certify_solution(example, start)
+    for bad in ({"eps": 0.0}, {"tol": 0.0}, {"eps": -1.0}):
+        with pytest.raises(ValueError):
+            certify_solution(example, start, **bad)

@@ -169,3 +169,17 @@ def test_lu_factor_matches_scipy_and_is_read_only():
         b = rng.uniform(-3.0, 3.0, n)
         assert np.array_equal(lu_solve(f, b), scipy.linalg.lu_solve((lu, piv), b)), f"n={n}"
         assert not f.lu.flags.writeable and not f.piv.flags.writeable
+
+
+def test_lu_factor_rejects_non_finite_entries_by_name():
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError, match="normal matrix"):
+            lu_factor(m, name="normal matrix")
+
+
+def test_lu_factor_rejects_wrong_shapes():
+    for shape in [(3,), (2, 2, 2), (2, 3), (3, 2)]:
+        with pytest.raises(DimensionMismatch, match="jacobian"):
+            lu_factor(np.ones(shape), name="jacobian")

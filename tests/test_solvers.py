@@ -20,6 +20,8 @@ from esoclcp import (
     orthant_lcp_solve,
     solve_esoclcp,
 )
+from esoclcp.fbsystem import FbKernel
+from esoclcp.solvers import _iterate, _resolve_start
 
 
 def test_options_defaults_and_validation():
@@ -213,3 +215,19 @@ def test_pipeline_labels_zero_image_answer_case_ii():
     assert rep.point.t > 0.0
     assert rep.case_label is CaseLabel.CASE_II
     assert case_ii_check(inst.problem, rep.recovered, 1e-6)
+
+
+def test_singular_lm_normal_matrix_ends_only_that_run():
+    # With mu = 0 the normal matrix J'J is singular wherever J is.  On this
+    # instance that happens on the default start, after 14 steps; the run
+    # ends SingularJacobian, as a Newton run does, and the pipeline goes on.
+    inst = make_instance("vi", 4, 1, 3)
+    opts = SolverOptions(mu=0.0)
+    kernel = FbKernel(inst.problem)
+    raw = _iterate(kernel.residual, kernel.jacobian, _resolve_start(opts, inst.problem), opts)
+    assert (raw.status, raw.iterations) == (SolveStatus.SINGULAR_JACOBIAN, 14)
+    rep = solve_esoclcp(inst.problem, opts)
+    assert rep.status is SolveStatus.CONVERGED
+    assert comp_pair_check(rep.recovered, affine_map(inst.problem, rep.recovered), 1e-6)
+    with pytest.raises(ValueError):
+        lm_solve(inst.problem, opts)

@@ -1,0 +1,111 @@
+"""Paired benchmark runs of two checkouts, alternating which one goes first.
+
+Usage (from anywhere; both directories are source checkouts):
+
+    python3 tools/ab_pairs.py --parent DIR --change DIR --workload vi-batch --seeds 61-70
+
+For every seed, ``perfbench/run.py --workload W --seed S --seconds T
+--trace 0`` runs once in each checkout, the parent first on even pair
+indices and the change first on odd ones, so drift of the host's speed
+over the session falls on both sides alike.  The end-to-end metrics, their
+direction and their bounds are read from the change's ``BENCHMARK.json``;
+``--seconds`` defaults to its ``run_seconds``.
+
+Printed: every pair's values, then per metric the parent's and the
+change's median and quartiles, the relative change of the median, the
+parent's interquartile range relative to its median, and how many pairs
+the change won; then ``failed``/``attempted`` and ``correct`` per side.
+``--out FILE`` also writes every run's result as JSON.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def parse_seeds(text: str) -> list[int]:
+    """'61-70' or '61,63,65' -> list of seeds."""
+    if "-" in text:
+        first, last = (int(part) for part in text.split("-", 1))
+        return list(range(first, last + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{checkout}: seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def wins(parent: list[float], change: list[float], better: str) -> int:
+    if better == "lower":
+        return sum(c < p for p, c in zip(parent, change))
+    return sum(c > p for p, c in zip(parent, change))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    parser.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds, help="'A-B' or 'A,B,C'")
+    parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
+    parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
+    args = parser.parse_args(argv)
+
+    bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
+    metrics = bench["end_to_end"]
+    sides = {"parent": args.parent, "change": args.change}
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    for index, seed in enumerate(args.seeds):
+        order = ("parent", "change") if index % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(run_once(sides[side], args.workload, seed, seconds))
+        row = "  ".join(
+            f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]['value']:.4g}"
+            f"->{runs['change'][-1]['metrics'][m['name']]['value']:.4g}"
+            for m in metrics
+        )
+        print(f"pair {index + 1} seed {seed} ({order[0]} first): {row}", flush=True)
+
+    print(f"\n{args.workload}: {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
+          f"{seconds:g} s runs; median [q1, q3]")
+    for m in metrics:
+        name = m["name"]
+        values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
+        (p1, p2, p3), (c1, c2, c3) = quartiles(values["parent"]), quartiles(values["change"])
+        print(f"  {name:16s} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} [{c1:.4g}, {c3:.4g}]"
+              f"  change {c2 / p2 - 1.0:+.1%} (parent IQR {(p3 - p1) / p2:.1%}, bound {m['bound']:.0%},"
+              f" {m['better']} is better)  change won {wins(values['parent'], values['change'], m['better'])}"
+              f"/{len(args.seeds)}")
+    for side in sides:
+        failed = [r["failed"] for r in runs[side]]
+        attempted = [r["attempted"] for r in runs[side]]
+        correct = sum(r["correct"] for r in runs[side])
+        print(f"  {side}: failed/attempted {sum(failed)}/{sum(attempted)} "
+              f"(per run {min(failed)}-{max(failed)} of {min(attempted)}-{max(attempted)}), "
+              f"correct {correct}/{len(runs[side])}")
+    if args.out is not None:
+        record = {"workload": args.workload, "seeds": args.seeds, "seconds": seconds, "runs": runs}
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
