@@ -6,15 +6,75 @@ Everything here works on plain float64 numpy arrays.  The wrappers add the
 two guarantees the rest of the package relies on: inputs are finite, and
 nonsingularity is an explicit verdict (SingularMatrix) instead of a warning
 or a silently garbage solve.
+
+The LU calls LAPACK dgetrf/dgetrs from scipy's compiled Fortran extension
+`scipy.linalg._flapack`.  Importing it through `scipy.linalg.lapack` would
+import all of `scipy.linalg`, most of a cold command's time, so the
+extension file is loaded directly from scipy's install directory (or taken
+from `sys.modules` when scipy has already loaded it).  These are the very
+routines `scipy.linalg.lapack` exports, so the results are the same bits.
+If the direct load fails for any reason, for instance a scipy release that
+moves or renames the private extension, the routines come from
+`scipy.linalg.lapack` after all.
 """
 
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .errors import DimensionMismatch, SingularMatrix
+
+_FLAPACK = "scipy.linalg._flapack"
+
+
+def _flapack_extension():
+    """scipy's compiled LAPACK extension, loaded without importing scipy.
+
+    Raises ImportError when scipy or the extension file cannot be found or
+    loaded.
+    """
+    module = sys.modules.get(_FLAPACK)
+    if module is not None:
+        return module
+    # find_spec of a top-level name locates the package without importing it.
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        raise ImportError("scipy is not installed as a package")
+    linalg_dir = Path(spec.submodule_search_locations[0], "linalg")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = linalg_dir / f"_flapack{suffix}"
+        if path.is_file():
+            break
+    else:
+        raise ImportError(f"no _flapack extension in {linalg_dir}")
+    # Loaded under scipy's own module name: the interpreter records the
+    # extension in sys.modules under it, so a later `import scipy.linalg`
+    # reuses this module instead of loading the file a second time.
+    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
+    )
+    loader.exec_module(module)
+    return module
+
+
+def _load_getrf_getrs():
+    """LAPACK dgetrf and dgetrs, directly from the extension if possible."""
+    try:
+        flapack = _flapack_extension()
+        return flapack.dgetrf, flapack.dgetrs
+    except (ImportError, OSError, AttributeError):
+        from scipy.linalg.lapack import dgetrf, dgetrs
+
+        return dgetrf, dgetrs
+
+
+dgetrf, dgetrs = _load_getrf_getrs()
 
 # A pivot is declared zero when it is at most this fraction of the largest
 # input entry.  The reformulation assumes nonsingular T, A, D but gives no

@@ -18,6 +18,7 @@ is accepted only after the independent complementarity checks pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -82,16 +83,18 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
+        # The only check of these knobs: the engine trusts them on every
+        # iterate, and the report writes the counts as JSON integers.
         if self.method not in ("newton", "lm"):
             raise ValueError(f"method must be 'newton' or 'lm', got {self.method!r}")
-        if not self.residual_tol > 0:
-            raise ValueError(f"residual_tol must be positive, got {self.residual_tol}")
-        if self.mu < 0:
-            raise ValueError(f"mu must be nonnegative, got {self.mu}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if self.num_random_starts < 0:
-            raise ValueError(f"num_random_starts must be nonnegative, got {self.num_random_starts}")
+        if not 0 < self.residual_tol < math.inf:
+            raise ValueError(f"residual_tol must be finite and positive, got {self.residual_tol}")
+        if not 0 <= self.mu < math.inf:
+            raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
+        for name, least in (("max_iter", 1), ("num_random_starts", 0), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)

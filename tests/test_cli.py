@@ -180,19 +180,45 @@ def test_gen_rejects_bad_dims(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_example_does_not_import_scipy_optimize():
-    # scipy.optimize serves only the Indeterminate regularity advisory; a
-    # fresh interpreter solving the example must not pay for its import.
+def test_solve_example_imports_neither_scipy_linalg_nor_optimize():
+    # The LU routines come straight from scipy's compiled LAPACK extension
+    # and scipy.optimize serves only the Indeterminate regularity advisory;
+    # a fresh interpreter solving the example must pay for neither package.
     code = (
         "import contextlib, io, sys\n"
         "from esoclcp.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['solve', 'example-paper', '--json']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n"
+        "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "False"
+    assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [
+        (["--mu", "nan"], "mu"),
+        (["--mu", "inf"], "mu"),
+        (["--tol", "inf"], "residual_tol"),
+        (["--tol", "nan"], "residual_tol"),
+        (["--starts", "-1"], "num_random_starts"),
+        (["--seed", "-1"], "rng_seed"),
+    ],
+)
+def test_solve_rejects_bad_options_at_the_boundary(flags, field, capsys):
+    assert main(["solve", "example-paper", *flags]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field} must be")
+
+
+def test_solve_rejects_bad_env_tolerance_and_fractional_max_iter(monkeypatch, capsys):
+    monkeypatch.setenv("ESOCLCP_DEFAULT_TOL", "inf")
+    assert main(["solve", "example-paper"]) == 1
+    assert capsys.readouterr().err.startswith("error: residual_tol must be")
+    monkeypatch.delenv("ESOCLCP_DEFAULT_TOL")
+    assert main(["solve", "example-paper", "--max-iter", "2.5"]) == 1
+    assert "--max-iter: invalid int value" in capsys.readouterr().err
 
 
 def test_solve_with_zero_damping_exits_zero(tmp_path, capsys):

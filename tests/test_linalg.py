@@ -1,8 +1,14 @@
 """Dense LU, Schur complement, and finite-difference oracle tests."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.lapack
+
+from esoclcp import linalg
 
 from esoclcp import (
     DimensionMismatch,
@@ -183,3 +189,47 @@ def test_lu_factor_rejects_wrong_shapes():
     for shape in [(3,), (2, 2, 2), (2, 3), (3, 2)]:
         with pytest.raises(DimensionMismatch, match="jacobian"):
             lu_factor(np.ones(shape), name="jacobian")
+
+
+def test_direct_lapack_load_matches_scipy_bitwise():
+    # esoclcp loads the LAPACK extension first, scipy.linalg second: both
+    # must use the same routines and give the same bits.
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from esoclcp import linalg\n"
+        "assert 'scipy.linalg' not in sys.modules\n"
+        "from scipy.linalg import lapack\n"
+        "assert linalg._flapack_extension() is sys.modules['scipy.linalg._flapack']\n"
+        "rng = np.random.default_rng(5)\n"
+        "for n in range(1, 9):\n"
+        "    m, b = rng.uniform(-3.0, 3.0, (n, n)), rng.uniform(-3.0, 3.0, n)\n"
+        "    lu, piv, info = linalg.dgetrf(m)\n"
+        "    want_lu, want_piv, want_info = lapack.dgetrf(m)\n"
+        "    assert lu.tobytes() == want_lu.tobytes() and np.array_equal(piv, want_piv), n\n"
+        "    assert info == want_info == 0, n\n"
+        "    x, _ = linalg.dgetrs(lu, piv, b)\n"
+        "    assert x.tobytes() == lapack.dgetrs(want_lu, want_piv, b)[0].tobytes(), n\n"
+        "print('ok')\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "ok"
+
+
+def test_lapack_load_falls_back_to_scipy_linalg(monkeypatch):
+    def unavailable():
+        raise ImportError("no extension")
+
+    monkeypatch.setattr(linalg, "_flapack_extension", unavailable)
+    getrf, getrs = linalg._load_getrf_getrs()
+    assert getrf is scipy.linalg.lapack.dgetrf and getrs is scipy.linalg.lapack.dgetrs
+    monkeypatch.setattr(linalg, "dgetrf", getrf)
+    monkeypatch.setattr(linalg, "dgetrs", getrs)
+    rng = np.random.default_rng(109)
+    for n in range(9):
+        m, b = rng.uniform(-3.0, 3.0, (n, n)), rng.uniform(-3.0, 3.0, n)
+        f = lu_factor(m)
+        lu, piv = scipy.linalg.lu_factor(m)
+        assert f.lu.tobytes() == lu.tobytes() and np.array_equal(f.piv, piv), f"n={n}"
+        assert lu_solve(f, b).tobytes() == scipy.linalg.lu_solve((lu, piv), b).tobytes(), f"n={n}"

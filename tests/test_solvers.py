@@ -42,6 +42,28 @@ def test_options_defaults_and_validation():
         SolverOptions(max_iter=0)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("mu", float("nan")),
+        ("mu", float("inf")),
+        ("residual_tol", float("inf")),
+        ("residual_tol", float("nan")),
+        ("max_iter", 2.5),
+        ("num_random_starts", 1.5),
+        ("rng_seed", -1),
+    ],
+)
+def test_options_reject_non_finite_and_non_integer_knobs(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        SolverOptions(**{field: value})
+
+
+def test_options_accept_numpy_integers(example):
+    opts = SolverOptions(max_iter=np.int64(3), num_random_starts=np.int32(0))
+    assert solve_esoclcp(example, opts).iterations <= 3
+
+
 def test_method_preconditions(example):
     with pytest.raises(ValueError):
         newton_solve(example, SolverOptions(method="lm"))

@@ -15,14 +15,22 @@ Printed: every pair's values, then per metric the parent's and the
 change's median and quartiles, the relative change of the median, the
 parent's interquartile range relative to its median, and how many pairs
 the change won; then ``failed``/``attempted`` and ``correct`` per side.
-``--out FILE`` also writes every run's result as JSON.  Standard library
-only.
+``--out FILE`` also writes every run's result as JSON.  ``--bench-json
+FILE`` adds the workload's summary to FILE (a ``BENCH_*.json``; created
+when absent, other workloads' entries kept): per metric both sides' medians
+and quartiles, the seeds, ``failed``/``attempted`` per side, the ``src/``
+line count of each checkout and the machine's facts, so running it once per
+workload with the same FILE collects every workload of one comparison.
+Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.metadata
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -57,6 +65,39 @@ def wins(parent: list[float], change: list[float], better: str) -> int:
     return sum(c > p for p, c in zip(parent, change))
 
 
+def src_lines(checkout: Path) -> int:
+    """Lines of Python under the checkout's src/."""
+    return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
+
+
+def machine_facts() -> dict:
+    cpuinfo = Path("/proc/cpuinfo")
+    lines = cpuinfo.read_text(encoding="utf-8").splitlines() if cpuinfo.exists() else []
+    cpu = next((line.split(":", 1)[1].strip() for line in lines if line.startswith("model name")),
+               platform.processor())
+    return {
+        "nproc": os.cpu_count(),
+        "cpu": cpu,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": importlib.metadata.version("numpy"),
+        "scipy": importlib.metadata.version("scipy"),
+    }
+
+
+def write_bench_json(path: Path, sides: dict[str, Path], workload: str, entry: dict) -> None:
+    """Add one workload's entry to the BENCH file at path."""
+    lines = {side: src_lines(checkout) for side, checkout in sides.items()}
+    record = {"src_lines": lines, "machine": machine_facts(), "workloads": {}}
+    if path.exists():
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if record["src_lines"] != lines:
+            raise SystemExit(f"{path} compares trees with src/ lines {record['src_lines']}, "
+                             f"these have {lines}")
+    record["workloads"][workload] = entry
+    path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -65,6 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="'A-B' or 'A,B,C'")
     parser.add_argument("--seconds", type=float, help="run length (default: run_seconds)")
     parser.add_argument("--out", type=Path, help="write every run's result here as JSON")
+    parser.add_argument("--bench-json", type=Path, help="add this workload's summary to this file")
     args = parser.parse_args(argv)
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -86,14 +128,22 @@ def main(argv=None) -> int:
 
     print(f"\n{args.workload}: {len(args.seeds)} pairs, seeds {args.seeds[0]}-{args.seeds[-1]}, "
           f"{seconds:g} s runs; median [q1, q3]")
+    summary = {}
     for m in metrics:
         name = m["name"]
         values = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in sides}
         (p1, p2, p3), (c1, c2, c3) = quartiles(values["parent"]), quartiles(values["change"])
+        won = wins(values["parent"], values["change"], m["better"])
         print(f"  {name:16s} parent {p2:.4g} [{p1:.4g}, {p3:.4g}]  change {c2:.4g} [{c1:.4g}, {c3:.4g}]"
               f"  change {c2 / p2 - 1.0:+.1%} (parent IQR {(p3 - p1) / p2:.1%}, bound {m['bound']:.0%},"
-              f" {m['better']} is better)  change won {wins(values['parent'], values['change'], m['better'])}"
-              f"/{len(args.seeds)}")
+              f" {m['better']} is better)  change won {won}/{len(args.seeds)}")
+        summary[name] = {
+            "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "parent": {"median": p2, "q1": p1, "q3": p3},
+            "change": {"median": c2, "q1": c1, "q3": c3},
+            "relative_change": c2 / p2 - 1.0, "change_won": won,
+        }
+    outcomes = {}
     for side in sides:
         failed = [r["failed"] for r in runs[side]]
         attempted = [r["attempted"] for r in runs[side]]
@@ -101,9 +151,15 @@ def main(argv=None) -> int:
         print(f"  {side}: failed/attempted {sum(failed)}/{sum(attempted)} "
               f"(per run {min(failed)}-{max(failed)} of {min(attempted)}-{max(attempted)}), "
               f"correct {correct}/{len(runs[side])}")
+        outcomes[side] = {"failed": sum(failed), "attempted": sum(attempted),
+                          "correct_runs": correct, "runs": len(runs[side])}
     if args.out is not None:
         record = {"workload": args.workload, "seeds": args.seeds, "seconds": seconds, "runs": runs}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    if args.bench_json is not None:
+        entry = {"seeds": args.seeds, "seconds": seconds, "pairs": len(args.seeds),
+                 "metrics": summary, "outcomes": outcomes}
+        write_bench_json(args.bench_json, sides, args.workload, entry)
     return 0
 
 
