@@ -10,13 +10,17 @@ that fails the pivot test ends the run as SingularJacobian under either
 method.
 
 The pipeline tries the augmented smooth system first (multi-start), then
-the two degenerate branches: u = 0, which reduces to a k-variable orthant
-problem in (A, p), and v = 0, an m-variable mixed system.  Every candidate
+the two degenerate branches.  Both are plain orthant LCPs in k variables:
+u = 0 leaves LCP(A, p), and v = 0, once u = -D^-1 (C x + q) is eliminated,
+leaves LCP(A - B D^-1 C, p - B D^-1 q).  Up to k = ENUM_MAX_K they are
+solved exactly, by enumerating the complementary supports (lcp_roots);
+above it, by the Newton/LM multistart on their FB systems.  Every candidate
 is accepted only after the independent complementarity checks pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -48,6 +52,16 @@ DIVERGENCE_FACTOR = 1e6
 # smallest t treated as a genuine nonzero norm in the pipeline.
 ACCEPT_TOL = 1e-6
 T_MIN = 1e-6
+
+# Largest k whose reduced branches enumerate all 2^k supports; above it they
+# keep the Newton/LM multistart.  Enumerating both branches in full took 0.6
+# times as long as the 9 x 200 augmented iterations that run before them at
+# k = 10 and as long at k = 11 (random instances, l = 1 and 5).
+ENUM_MAX_K = 10
+
+# Sign tolerance of an enumerated root: x and M x + q may dip this far
+# below zero, relative to 1 + their largest entry.
+ENUM_RTOL = 1e-9
 
 
 class SolveStatus(str, Enum):
@@ -241,23 +255,50 @@ def _orthant_system(A: np.ndarray, p: np.ndarray):
     return res_fn, jac_fn
 
 
-def _orthant_raw(A: np.ndarray, p: np.ndarray, opts: SolverOptions) -> _RawSolve:
-    res_fn, jac_fn = _orthant_system(A, p)
-    return _iterate(res_fn, jac_fn, np.ones(A.shape[0]), opts)
+def lcp_roots(M: np.ndarray, q: np.ndarray):
+    """Yield every solution of LCP(M, q): x >= 0, M x + q >= 0, x'(M x + q) = 0.
+
+    Exact support enumeration (Cottle, Pang and Stone, The Linear
+    Complementarity Problem, 1992): for each support S, by size and then
+    lexicographically, solve M_SS x_S = -q_S with x = 0 off S, and yield x
+    when x and M x + q are nonnegative up to ENUM_RTOL.  A support whose
+    principal block fails the pivot test is skipped, so a root reachable
+    only through singular blocks is missed, and a degenerate root (some
+    x_i = (M x + q)_i = 0) is yielded once per support that reaches it.
+    """
+    n = q.shape[0]
+    for size in range(n + 1):
+        for support in itertools.combinations(range(n), size):
+            x = np.zeros(n)
+            if size:
+                s = list(support)
+                try:
+                    x[s] = lu_solve(lu_factor(M[s][:, s], name="principal block"), -q[s])
+                except SingularMatrix:
+                    continue
+            w = M @ x + q
+            if min(x.min(), w.min()) >= -ENUM_RTOL * (1.0 + max(np.abs(x).max(), np.abs(w).max())):
+                yield x
 
 
 def orthant_lcp_solve(A, p, opts: SolverOptions) -> tuple[np.ndarray, SolveStatus]:
     """Solve the plain orthant problem: x >= 0, Ax + p >= 0, x^T(Ax+p) = 0.
 
-    Runs the FB iteration on psi(x_i, (Ax+p)_i) from the all-ones start.
-    A must be nonsingular.
+    Up to k = ENUM_MAX_K, returns the first root lcp_roots yields.  Above
+    it, or when lcp_roots yields none, runs the FB iteration on
+    psi(x_i, (Ax+p)_i) from the all-ones start and returns its final or
+    best iterate with its status.  A must be nonsingular.
     """
     A = as_matrix(A, "A")
     p = as_vector(p, "p")
     if A.shape[0] != A.shape[1] or A.shape[0] != p.shape[0]:
         raise ValueError(f"incompatible shapes A {A.shape}, p {p.shape}")
     lu_factor(A, name="A")
-    raw = _orthant_raw(A, p, opts)
+    if A.shape[0] <= ENUM_MAX_K:
+        for x in lcp_roots(A, p):
+            return x, SolveStatus.CONVERGED
+    res_fn, jac_fn = _orthant_system(A, p)
+    raw = _iterate(res_fn, jac_fn, np.ones(A.shape[0]), opts)
     return raw.x, raw.status
 
 
@@ -318,14 +359,17 @@ def _verified(prob: LcpProblem, z: PointZ) -> bool:
 
 
 def _accept(kernel: FbKernel, raw, point, label, recovered) -> SolveReport:
+    """Converged report at point; raw is None for an enumerated root, which
+    took no iterations, so its history is its own residual norm."""
     arr = point.to_array()
     res, aux = kernel.residual(arr)
+    norm = float(np.abs(res).max())
     return SolveReport(
         status=SolveStatus.CONVERGED,
         point=point,
-        residual_norm=float(np.abs(res).max()),
-        iterations=raw.iterations,
-        residual_history=raw.history,
+        residual_norm=norm,
+        iterations=0 if raw is None else raw.iterations,
+        residual_history=[norm] if raw is None else raw.history,
         case_label=label,
         certified=kernel.certified(arr, res, aux),
         recovered=recovered,
@@ -344,18 +388,52 @@ def _starts(first: np.ndarray, opts: SolverOptions, bounds):
         yield np.concatenate([rng.uniform(low, high, size) for low, high, size in bounds])
 
 
+def _reduced_roots(prob: LcpProblem, opts: SolverOptions):
+    """Yield (label, z, raw) for the roots of the u = 0 branch (CASE_I),
+    then of the v = 0 branch (CASE_II).
+
+    Up to k = ENUM_MAX_K both are exact: lcp_roots on LCP(A, p), then on
+    LCP(A - B D^-1 C, p - B D^-1 q) with u = -D^-1 (C x + q), and raw is
+    None.  D is factored once, when the v = 0 branch starts; a singular D
+    ends it.  Above ENUM_MAX_K each branch keeps the distinct converged
+    roots of its FB multistart (_collect_roots), and raw is that run.
+    """
+    k, l = prob.dims.k, prob.dims.l
+    A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
+    if k > ENUM_MAX_K:
+        res_fn, jac_fn = _orthant_system(A, p)
+        for raw in _collect_roots(res_fn, jac_fn, _starts(np.ones(k), opts, [(0.0, 1.0, k)]), opts):
+            yield CaseLabel.CASE_I, PointZ(raw.x, np.zeros(l)), raw
+        res_fn, jac_fn = _case_ii_system(prob)
+        first = np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l)])
+        starts = _starts(first, opts, [(0.0, 1.0, k), (-1.0, 1.0, l)])
+        for raw in _collect_roots(res_fn, jac_fn, starts, opts):
+            yield CaseLabel.CASE_II, PointZ(raw.x[:k], raw.x[k:]), raw
+        return
+    for x in lcp_roots(A, p):
+        yield CaseLabel.CASE_I, PointZ(x, np.zeros(l)), None
+    try:
+        lu_D = lu_factor(D, name="D")
+    except SingularMatrix:
+        return
+    for x in lcp_roots(A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q)):
+        yield CaseLabel.CASE_II, PointZ(x, -lu_solve(lu_D, C @ x + q)), None
+
+
 def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveReport:
     """Full pipeline over the solution cases, first verified answer wins.
 
     Order: the augmented smooth system from the default start and
     num_random_starts seeded extra starts (accepted when t is genuinely
     positive and the recovered pair passes the complementarity check), then
-    the u = 0 orthant branch, then the v = 0 mixed branch.  An augmented
-    answer is labelled by the shape of its pair (classify_pair), so one
-    whose image has a zero norm block is CASE_II.  When nothing is
-    accepted, the report describes the best augmented-system attempt; a run
-    that converged to an invalid point (t <= 0 or failed verification) is
-    reported as Diverged.
+    the roots of the u = 0 branch, then those of the v = 0 branch
+    (_reduced_roots), each accepted when it passes its case check, the pair
+    check and the augmented residual test.  Up to k = ENUM_MAX_K those roots
+    are exact and their answers report 0 iterations.  An augmented answer is
+    labelled by the shape of its pair (classify_pair), so one whose image
+    has a zero norm block is CASE_II.  When nothing is accepted, the report
+    describes the best augmented-system attempt; a run that converged to an
+    invalid point (t <= 0 or failed verification) is reported as Diverged.
     """
     if opts is None:
         opts = SolverOptions()
@@ -380,27 +458,14 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
         if case is not PairCase.NOT_COMPLEMENTARY:
             return _accept(kernel, raw, point, _PAIR_LABEL[case], z)
 
-    res_fn, jac_fn = _orthant_system(prob.A, prob.p)
-    starts = _starts(np.ones(k), opts, [(0.0, 1.0, k)])
-    for raw in _collect_roots(res_fn, jac_fn, starts, opts):
-        x = raw.x
-        z = PointZ(x, np.zeros(l))
-        if case_i_check(prob, x, ACCEPT_TOL) and _verified(prob, z):
-            point = AugmentedPoint(x, np.zeros(l), 0.0)
-            report = _accept(kernel, raw, point, CaseLabel.CASE_I, z)
-            if report.residual_norm <= opts.residual_tol:
-                return report
-
-    res_fn, jac_fn = _case_ii_system(prob)
-    first = np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l)])
-    starts = _starts(first, opts, [(0.0, 1.0, k), (-1.0, 1.0, l)])
-    for raw in _collect_roots(res_fn, jac_fn, starts, opts):
-        x, u = raw.x[:k], raw.x[k:]
-        z = PointZ(x, u)
-        if case_ii_check(prob, z, ACCEPT_TOL) and _verified(prob, z):
-            t = float(np.linalg.norm(u))
-            point = AugmentedPoint(x - t, u, t)
-            report = _accept(kernel, raw, point, CaseLabel.CASE_II, z)
+    for label, z, raw in _reduced_roots(prob, opts):
+        if label is CaseLabel.CASE_I:
+            passed = case_i_check(prob, z.x, ACCEPT_TOL)
+        else:
+            passed = case_ii_check(prob, z, ACCEPT_TOL)
+        if passed and _verified(prob, z):
+            t = float(np.linalg.norm(z.u))
+            report = _accept(kernel, raw, AugmentedPoint(z.x - t, z.u, t), label, z)
             if report.residual_norm <= opts.residual_tol:
                 return report
 

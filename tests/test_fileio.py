@@ -121,6 +121,22 @@ def test_report_round_trip_converged():
     }
 
 
+def test_report_round_trip_enumerated_answer():
+    # i/207 is solved by the exact u = 0 branch, which takes no iterations.
+    inst = make_instance("i", 3, 4, 207)
+    opts = SolverOptions()
+    rep = solve_esoclcp(inst.problem, opts)
+    data = parse_report(serialize_report(rep, opts))
+    assert data["status"] == "Converged"
+    assert data["case_label"] == "CASE_I"
+    assert data["iterations"] == 0
+    assert data["residual_history"] == [data["residual_norm"]] == [rep.residual_norm]
+    assert len(data["residual_history"]) == data["iterations"] + 1
+    assert data["recovered"]["x"] == rep.recovered.x.tolist()
+    assert data["point"]["t"] == 0.0
+    assert data["certified"] is True
+
+
 def test_report_round_trip_failure():
     inst = make_instance("vi", 2, 5, 114)
     opts = SolverOptions()

@@ -1,11 +1,15 @@
 """Newton/LM engines, the orthant branch, and the case-dispatch pipeline."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from esoclcp import (
     AugmentedPoint,
     CaseLabel,
+    EsocDims,
+    LcpProblem,
     PointZ,
     SingularMatrix,
     SolveStatus,
@@ -20,8 +24,9 @@ from esoclcp import (
     orthant_lcp_solve,
     solve_esoclcp,
 )
+import esoclcp.solvers as solvers
 from esoclcp.fbsystem import FbKernel
-from esoclcp.solvers import _iterate, _resolve_start
+from esoclcp.solvers import ENUM_MAX_K, _iterate, _resolve_start, lcp_roots
 
 
 def test_options_defaults_and_validation():
@@ -132,6 +137,69 @@ def test_orthant_solver_known_lcp():
     assert np.abs(x - np.array([1.0, 0.0])).max() <= 1e-7, f"x = {x}"
 
 
+def test_orthant_solver_falls_back_to_iteration_without_root():
+    # LCP(-1, -1) has no solution, so no support yields a root and the FB
+    # iteration from the all-ones start gives its own verdict.
+    x, status = orthant_lcp_solve(-np.eye(1), -np.ones(1), SolverOptions(max_iter=5))
+    assert status is not SolveStatus.CONVERGED
+    assert x.shape == (1,)
+
+
+def _assert_lcp_root(M, q, x, tol=1e-9):
+    w = M @ x + q
+    scale = 1.0 + np.abs(x).max() + np.abs(w).max()
+    assert x.min() >= -tol * scale and w.min() >= -tol * scale
+    assert np.abs(x * w).max() <= tol * scale * scale
+
+
+def test_lcp_roots_are_complementary_on_random_lcps():
+    rng = np.random.default_rng(31)
+    found = 0
+    for n in range(1, 7):
+        for _ in range(20):
+            M = rng.uniform(-5.0, 5.0, (n, n))
+            q = rng.uniform(-5.0, 5.0, n)
+            for x in lcp_roots(M, q):
+                _assert_lcp_root(M, q, x)
+                found += 1
+    assert found > 100
+
+
+def test_lcp_roots_contain_a_planted_root():
+    rng = np.random.default_rng(37)
+    for n in range(1, 7):
+        M = rng.uniform(-5.0, 5.0, (n, n))
+        support = rng.uniform(size=n) < 0.5
+        x_star = np.where(support, rng.uniform(0.2, 2.0, n), 0.0)
+        w_star = np.where(support, 0.0, rng.uniform(0.2, 2.0, n))
+        q = w_star - M @ x_star
+        roots = list(lcp_roots(M, q))
+        assert any(np.abs(x - x_star).max() <= 1e-9 * (1.0 + np.abs(x_star).max()) for x in roots)
+
+
+def _spy_lu_factor(monkeypatch):
+    """Record the matrices solvers.lu_factor is called with."""
+    calls = []
+    real = solvers.lu_factor
+
+    def spy(m, name="matrix"):
+        calls.append((name, np.array(m)))
+        return real(m, name=name)
+
+    monkeypatch.setattr(solvers, "lu_factor", spy)
+    return calls
+
+
+def test_lcp_roots_visit_supports_by_size_then_lexicographically(monkeypatch):
+    # Distinct diagonal entries name the factored principal blocks, and
+    # with q = 0 every support gives the root x = 0.
+    calls = _spy_lu_factor(monkeypatch)
+    roots = list(lcp_roots(np.diag([1.0, 2.0, 3.0]), np.zeros(3)))
+    assert len(roots) == 8 and all(np.array_equal(x, np.zeros(3)) for x in roots)
+    seen = [tuple(int(v) - 1 for v in m.diagonal()) for _, m in calls]
+    assert seen == [s for r in range(1, 4) for s in itertools.combinations(range(3), r)]
+
+
 def test_orthant_solver_rejects_singular():
     with pytest.raises(SingularMatrix):
         orthant_lcp_solve(np.zeros((2, 2)), np.ones(2), SolverOptions())
@@ -201,7 +269,8 @@ def test_pipeline_newton_method(example):
 
 # (case, k, l, seed, status, iterations) of the default pipeline, recorded
 # before the augmented system moved onto FbKernel.  It covers the augmented,
-# u = 0 and v = 0 branches and the Diverged and MaxIter outcomes.
+# u = 0 and v = 0 branches and the Diverged and MaxIter outcomes.  The u = 0
+# and v = 0 answers are enumerated roots, which take 0 iterations.
 PINNED_RUNS = [
     ("vi", 1, 1, 200, "Converged", 9),
     ("vi", 2, 2, 201, "Converged", 7),
@@ -213,8 +282,8 @@ PINNED_RUNS = [
     ("vi", 3, 4, 207, "Converged", 81),
     ("vi", 4, 5, 208, "Converged", 16),
     ("vi", 5, 1, 209, "Converged", 8),
-    ("i", 5, 4, 0, "Converged", 6),
-    ("ii", 2, 1, 13, "Converged", 6),
+    ("i", 5, 4, 0, "Converged", 0),
+    ("ii", 2, 1, 13, "Converged", 0),
     ("vi", 5, 2, 24, "Diverged", 11),
     ("vi", 2, 5, 114, "MaxIter", 200),
 ]
@@ -253,3 +322,73 @@ def test_singular_lm_normal_matrix_ends_only_that_run():
     assert comp_pair_check(rep.recovered, affine_map(inst.problem, rep.recovered), 1e-6)
     with pytest.raises(ValueError):
         lm_solve(inst.problem, opts)
+
+
+def _declared_dims(seed):
+    j = seed - 200
+    return 1 + j % 5, 1 + (j + j // 5) % 5
+
+
+def test_declared_degenerate_instances_all_converge():
+    # The benchmark's degenerate set: case-i seeds 200-210 and case-ii seeds
+    # 200-209.  The u = 0 Newton multistart missed i/204, i/207 and i/208,
+    # whose planted roots the support enumeration reaches.
+    labels = {}
+    for case, seeds in (("i", range(200, 211)), ("ii", range(200, 210))):
+        for seed in seeds:
+            inst = make_instance(case, *_declared_dims(seed), seed)
+            rep = solve_esoclcp(inst.problem)
+            assert rep.status is SolveStatus.CONVERGED, (case, seed, rep.status)
+            assert comp_pair_check(rep.recovered, affine_map(inst.problem, rep.recovered), 1e-6)
+            labels[case, seed] = rep.case_label
+    for seed in (204, 207, 208):
+        assert labels["i", seed] is CaseLabel.CASE_I
+
+
+@pytest.mark.parametrize("case, dims_seed", [("i", 7), ("ii", 8)])
+def test_criterion_4_degenerate_sets_all_solve(case, dims_seed):
+    # The 50 planted case-i and case-ii instances of acceptance criterion 4.
+    dims_rng = np.random.default_rng(dims_seed)
+    failed = []
+    for seed in range(50):
+        k = int(dims_rng.integers(1, 6))
+        l = int(dims_rng.integers(1, 6))
+        inst = make_instance(case, k, l, seed)
+        rep = solve_esoclcp(inst.problem)
+        if rep.status is not SolveStatus.CONVERGED or not comp_pair_check(
+            rep.recovered, affine_map(inst.problem, rep.recovered), 1e-6
+        ):
+            failed.append(seed)
+    assert failed == []
+
+
+def test_enumeration_up_to_enum_max_k():
+    # At k = ENUM_MAX_K the u = 0 branch enumerates: 0 iterations.
+    inst = make_instance("i", ENUM_MAX_K, 1, 0)
+    rep = solve_esoclcp(inst.problem)
+    assert (rep.status, rep.case_label, rep.iterations) == (SolveStatus.CONVERGED, CaseLabel.CASE_I, 0)
+    assert case_i_check(inst.problem, rep.recovered.x, 1e-6)
+
+
+def test_newton_multistart_above_enum_max_k():
+    # Above ENUM_MAX_K the u = 0 branch keeps the FB multistart, whose
+    # answer reports the iterations of the run that found it.
+    inst = make_instance("i", ENUM_MAX_K + 1, 2, 4)
+    rep = solve_esoclcp(inst.problem)
+    assert (rep.status, rep.case_label) == (SolveStatus.CONVERGED, CaseLabel.CASE_I)
+    assert rep.iterations > 0
+    assert len(rep.residual_history) == rep.iterations + 1
+    assert case_i_check(inst.problem, rep.recovered.x, 1e-6)
+
+
+def test_singular_d_ends_zero_image_branch_quietly(monkeypatch):
+    # No solution: y = -x - 1 < 0 for every x >= 0.  D = 0 cannot be
+    # factored, so the v = 0 branch ends at once and the pipeline reports
+    # its best augmented attempt.
+    prob = LcpProblem(EsocDims(1, 1), np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([-1.0, 0.0]),
+                      allow_singular=True)
+    calls = _spy_lu_factor(monkeypatch)
+    rep = solve_esoclcp(prob, SolverOptions(max_iter=20, num_random_starts=1))
+    assert "D" in [name for name, _ in calls]
+    assert rep.status is not SolveStatus.CONVERGED
+    assert rep.recovered is None
