@@ -6,8 +6,11 @@ folded into the smooth-away-from-zero function psi(a, b) = sqrt(a^2 + b^2)
 psi over the k orthant pairs followed by the equality residual gives a
 square system of size m + 1 whose zeros are the augmented solutions.
 FbKernel evaluates that system on raw arrays for the solvers' inner loop;
-fb_residual and fb_jacobian are its validating entry points, and the
+fb_residual and fb_jacobian are its validating entry points, the merit,
+its gradient and the stationarity test are built on those two, and the
 certification helpers inspect the Jacobian structure at candidate points.
+fb_pair also serves the solvers' one other FB system, that of the orthant
+LCP both reduced branches solve above ENUM_MAX_K.
 """
 
 from __future__ import annotations
@@ -195,22 +198,6 @@ def grad_merit(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
     return fb_jacobian(prob, w).T @ fb_residual(prob, w)
 
 
-@dataclass(frozen=True, eq=False)
-class FbSystemEval:
-    """Residual, Jacobian and merit data at one point, evaluated together."""
-
-    residual: np.ndarray
-    jacobian: np.ndarray
-    merit: float
-    grad_merit: np.ndarray
-
-
-def fb_eval(prob: LcpProblem, w: AugmentedPoint) -> FbSystemEval:
-    res = fb_residual(prob, w)
-    jac = fb_jacobian(prob, w)
-    return FbSystemEval(res, jac, 0.5 * float(res @ res), jac.T @ res)
-
-
 @dataclass(frozen=True)
 class IndexSets:
     """Partition of the orthant indices by how the pair (xhat_i, f1_i) sits.
@@ -275,8 +262,8 @@ def stationarity_check(prob: LcpProblem, w: AugmentedPoint, tol: float = 1e-3) -
     """Is grad_merit zero up to tol, relative to 1 + the residual norm?"""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    ev = fb_eval(prob, w)
-    return float(np.abs(ev.grad_merit).max()) <= tol * (1.0 + float(np.linalg.norm(ev.residual)))
+    res = fb_residual(prob, w)
+    return float(np.abs(grad_merit(prob, w)).max()) <= tol * (1.0 + float(np.linalg.norm(res)))
 
 
 class RegularityKind(str, Enum):

@@ -166,11 +166,6 @@ def lu_solve(f: LuFactors, b):
     return x
 
 
-def solve(m, b):
-    """One-shot factor-and-solve convenience."""
-    return lu_solve(lu_factor(m), b)
-
-
 def schur_complement(pi, top_left_dim: int, name: str = "leading block"):
     """Schur complement S - R P^-1 Q of the leading block of pi = [[P,Q],[R,S]].
 

@@ -9,13 +9,15 @@ whose residual grows a million-fold over the best seen, and a step matrix
 that fails the pivot test ends the run as SingularJacobian under either
 method.
 
-The pipeline tries the augmented smooth system first (multi-start), then
-the two degenerate branches.  Both are plain orthant LCPs in k variables:
-u = 0 leaves LCP(A, p), and v = 0, once u = -D^-1 (C x + q) is eliminated,
-leaves LCP(A - B D^-1 C, p - B D^-1 q).  Up to k = ENUM_MAX_K they are
-solved exactly, by enumerating the complementary supports (lcp_roots);
-above it, by the Newton/LM multistart on their FB systems.  Every candidate
-is accepted only after the independent complementarity checks pass.
+The pipeline is one loop over one stream of candidates: those of the
+augmented smooth system (multi-start), then those of the two degenerate
+branches.  Both branches are plain orthant LCPs in k variables: u = 0
+leaves LCP(A, p), and v = 0, once u = -D^-1 (C x + q) is eliminated,
+leaves LCP(A - B D^-1 C, p - B D^-1 q).  One path finds the roots of
+either: up to k = ENUM_MAX_K it enumerates the complementary supports
+(lcp_roots); above it, it runs the Newton/LM multistart on the orthant FB
+system.  Every candidate is accepted only after the independent
+complementarity checks pass.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ import numpy as np
 
 from .cones import PairCase, PointZ, classify_pair, comp_pair_check
 from .errors import EsoclcpError, SingularMatrix
-from .fbsystem import FbKernel, certify_solution, diagonal_terms, fb_pair
+from .fbsystem import FbKernel, diagonal_terms, fb_pair
 
 # Not called here, but kept bound in this namespace, where per-layer tracing
 # (perfbench/tracer.py) looks up the package's layers.
-from .fbsystem import fb_jacobian, fb_residual, psi_fb  # noqa: F401
+from .fbsystem import certify_solution, fb_jacobian, fb_residual, psi_fb  # noqa: F401
 from .linalg import as_matrix, as_vector, lu_factor, lu_solve
 from .reformulation import (
     AugmentedPoint,
@@ -81,18 +83,18 @@ class CaseLabel(str, Enum):
 class SolverOptions:
     """Knobs shared by every iteration in the package.
 
-    start may be an AugmentedPoint, the string "default", or None (same as
-    "default"): ones for xhat, u = e/sqrt(l) and t = 1, which keeps the
-    first iterate away from the t = 0 surface where the equality block
-    degenerates.  Random starts are drawn from [0,1]^k x [-1,1]^l x
-    [0.5, 1.5] with numpy's seeded generator.
+    start may be an AugmentedPoint or None, the default start: ones for
+    xhat, u = e/sqrt(l) and t = 1, which keeps the first iterate away from
+    the t = 0 surface where the equality block degenerates.  Random starts
+    are drawn from [0,1]^k x [-1,1]^l x [0.5, 1.5] with numpy's seeded
+    generator.
     """
 
     method: str = "lm"
     residual_tol: float = 1e-7
     mu: float = 0.005
     max_iter: int = 200
-    start: AugmentedPoint | str | None = None
+    start: AugmentedPoint | None = None
     num_random_starts: int = 8
     rng_seed: int = 0
 
@@ -187,7 +189,7 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
 
 def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
     """opts.start as an (xhat, u, t) array."""
-    if opts.start is None or opts.start == "default":
+    if opts.start is None:
         k, l = prob.dims.k, prob.dims.l
         return np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l), [1.0]])
     if isinstance(opts.start, AugmentedPoint):
@@ -200,25 +202,14 @@ def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
 def _fb_report(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
     kernel = FbKernel(prob)
     raw = _iterate(kernel.residual, kernel.jacobian, _resolve_start(opts, prob), opts)
+    if raw.status is not SolveStatus.CONVERGED:
+        return _unsolved(prob, raw)
     point = AugmentedPoint.from_array(prob.dims, raw.x)
-    recovered = None
-    certified = False
-    if raw.status is SolveStatus.CONVERGED:
-        try:
-            recovered = recover_solution(point, T_MIN)
-        except (EsoclcpError, ValueError):
-            recovered = None
-        certified = certify_solution(prob, point)
-    return SolveReport(
-        status=raw.status,
-        point=point,
-        residual_norm=raw.norm,
-        iterations=raw.iterations,
-        residual_history=raw.history,
-        case_label=CaseLabel.CASE_VI,
-        certified=certified,
-        recovered=recovered,
-    )
+    try:
+        recovered = recover_solution(point, T_MIN)
+    except (EsoclcpError, ValueError):
+        recovered = None
+    return _accept(kernel, raw, point, CaseLabel.CASE_VI, recovered)
 
 
 def newton_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
@@ -302,48 +293,30 @@ def orthant_lcp_solve(A, p, opts: SolverOptions) -> tuple[np.ndarray, SolveStatu
     return raw.x, raw.status
 
 
-def _case_ii_system(prob: LcpProblem):
-    """Residual and Jacobian for the v = 0 branch, in the m variables (x, u)."""
-    k, m = prob.dims.k, prob.dims.m
-    A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
-    top, bottom = prob.T[:k], prob.T[k:]
-    diag, diag_d_a = diagonal_terms(k, m, k)
+def _orthant_roots(M: np.ndarray, r: np.ndarray, opts: SolverOptions):
+    """Yield (x, raw) for the roots of LCP(M, r) that a reduced branch tries.
 
-    def res_fn(z):
-        x, u = z[:k], z[k:]
-        res = np.empty(m)
-        _, d_a, d_b = fb_pair(x, A @ x + B @ u + p, out=res[:k])
-        res[k:] = C @ x + D @ u + q
-        return res, (d_a, d_b)
-
-    def jac_fn(z, aux):
-        d_a, d_b = aux
-        jac = np.empty((m, m))
-        psi_rows = jac[:k]
-        np.multiply(d_b[:, None], top, out=psi_rows)
-        diag_d_a[:] = d_a
-        psi_rows += diag
-        jac[k:] = bottom
-        return jac
-
-    return res_fn, jac_fn
-
-
-def _collect_roots(res_fn, jac_fn, starts, opts: SolverOptions) -> list[_RawSolve]:
-    """Run the iteration from each start, keeping distinct converged roots.
-
-    The degenerate branches can have several roots of which only some
-    extend to cone solutions, so every distinct one is worth case-checking.
+    Up to k = ENUM_MAX_K these are every root lcp_roots finds, with raw
+    None.  Above it they are the distinct converged roots of the FB
+    multistart from the all-ones start, each with its run as raw.  The
+    branches can have several roots of which only some extend to cone
+    solutions, so every distinct one is worth case-checking.
     """
-    roots: list[_RawSolve] = []
-    for start in starts:
+    k = r.shape[0]
+    if k <= ENUM_MAX_K:
+        for x in lcp_roots(M, r):
+            yield x, None
+        return
+    res_fn, jac_fn = _orthant_system(M, r)
+    found: list[np.ndarray] = []
+    for start in _starts(np.ones(k), opts, [(0.0, 1.0, k)]):
         raw = _iterate(res_fn, jac_fn, start, opts)
         if raw.status is not SolveStatus.CONVERGED:
             continue
-        if any(np.abs(raw.x - r.x).max() <= 1e-8 * (1.0 + np.abs(r.x).max()) for r in roots):
+        if any(np.abs(raw.x - x).max() <= 1e-8 * (1.0 + np.abs(x).max()) for x in found):
             continue
-        roots.append(raw)
-    return roots
+        found.append(raw.x)
+        yield raw.x, raw
 
 
 # Case label of an augmented-branch answer, by the shape of its pair.
@@ -376,6 +349,14 @@ def _accept(kernel: FbKernel, raw, point, label, recovered) -> SolveReport:
     )
 
 
+def _unsolved(prob: LcpProblem, raw: _RawSolve) -> SolveReport:
+    """Report of a run that gave no answer, at its best iterate; a run that
+    converged to a rejected point is reported as Diverged."""
+    status = SolveStatus.DIVERGED if raw.status is SolveStatus.CONVERGED else raw.status
+    point = AugmentedPoint.from_array(prob.dims, raw.x)
+    return SolveReport(status, point, raw.norm, raw.iterations, raw.history)
+
+
 def _starts(first: np.ndarray, opts: SolverOptions, bounds):
     """first, then num_random_starts seeded starts, drawn lazily.
 
@@ -388,65 +369,15 @@ def _starts(first: np.ndarray, opts: SolverOptions, bounds):
         yield np.concatenate([rng.uniform(low, high, size) for low, high, size in bounds])
 
 
-def _reduced_roots(prob: LcpProblem, opts: SolverOptions):
-    """Yield (label, z, raw) for the roots of the u = 0 branch (CASE_I),
-    then of the v = 0 branch (CASE_II).
-
-    Up to k = ENUM_MAX_K both are exact: lcp_roots on LCP(A, p), then on
-    LCP(A - B D^-1 C, p - B D^-1 q) with u = -D^-1 (C x + q), and raw is
-    None.  D is factored once, when the v = 0 branch starts; a singular D
-    ends it.  Above ENUM_MAX_K each branch keeps the distinct converged
-    roots of its FB multistart (_collect_roots), and raw is that run.
-    """
-    k, l = prob.dims.k, prob.dims.l
-    A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
-    if k > ENUM_MAX_K:
-        res_fn, jac_fn = _orthant_system(A, p)
-        for raw in _collect_roots(res_fn, jac_fn, _starts(np.ones(k), opts, [(0.0, 1.0, k)]), opts):
-            yield CaseLabel.CASE_I, PointZ(raw.x, np.zeros(l)), raw
-        res_fn, jac_fn = _case_ii_system(prob)
-        first = np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l)])
-        starts = _starts(first, opts, [(0.0, 1.0, k), (-1.0, 1.0, l)])
-        for raw in _collect_roots(res_fn, jac_fn, starts, opts):
-            yield CaseLabel.CASE_II, PointZ(raw.x[:k], raw.x[k:]), raw
-        return
-    for x in lcp_roots(A, p):
-        yield CaseLabel.CASE_I, PointZ(x, np.zeros(l)), None
-    try:
-        lu_D = lu_factor(D, name="D")
-    except SingularMatrix:
-        return
-    for x in lcp_roots(A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q)):
-        yield CaseLabel.CASE_II, PointZ(x, -lu_solve(lu_D, C @ x + q)), None
-
-
-def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveReport:
-    """Full pipeline over the solution cases, first verified answer wins.
-
-    Order: the augmented smooth system from the default start and
-    num_random_starts seeded extra starts (accepted when t is genuinely
-    positive and the recovered pair passes the complementarity check), then
-    the roots of the u = 0 branch, then those of the v = 0 branch
-    (_reduced_roots), each accepted when it passes its case check, the pair
-    check and the augmented residual test.  Up to k = ENUM_MAX_K those roots
-    are exact and their answers report 0 iterations.  An augmented answer is
-    labelled by the shape of its pair (classify_pair), so one whose image
-    has a zero norm block is CASE_II.  When nothing is accepted, the report
-    describes the best augmented-system attempt; a run that converged to an
-    invalid point (t <= 0 or failed verification) is reported as Diverged.
-    """
-    if opts is None:
-        opts = SolverOptions()
+def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKernel, runs: list):
+    """Yield (raw, point, label, z) for each augmented run whose t is
+    genuinely positive and whose recovered pair is complementary, labelled
+    by the shape of that pair; every run is appended to runs."""
     dims = prob.dims
     k, l, m = dims.k, dims.l, dims.m
-
-    kernel = FbKernel(prob)
-    starts = _starts(_resolve_start(opts, prob), opts, [(0.0, 1.0, k), (-1.0, 1.0, l), (0.5, 1.5, 1)])
-    best: _RawSolve | None = None
-    for start in starts:
+    for start in _starts(_resolve_start(opts, prob), opts, [(0.0, 1.0, k), (-1.0, 1.0, l), (0.5, 1.5, 1)]):
         raw = _iterate(kernel.residual, kernel.jacobian, start, opts)
-        if best is None or raw.norm < best.norm:
-            best = raw
+        runs.append(raw)
         if raw.status is not SolveStatus.CONVERGED or not raw.x[m] > T_MIN:
             continue
         point = AugmentedPoint.from_array(dims, raw.x)
@@ -456,29 +387,56 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
             continue
         case, _ = classify_pair(z, affine_map(prob, z), ACCEPT_TOL)
         if case is not PairCase.NOT_COMPLEMENTARY:
-            return _accept(kernel, raw, point, _PAIR_LABEL[case], z)
+            yield raw, point, _PAIR_LABEL[case], z
 
-    for label, z, raw in _reduced_roots(prob, opts):
-        if label is CaseLabel.CASE_I:
-            passed = case_i_check(prob, z.x, ACCEPT_TOL)
-        else:
-            passed = case_ii_check(prob, z, ACCEPT_TOL)
-        if passed and _verified(prob, z):
+
+def _reduced_candidates(prob: LcpProblem, opts: SolverOptions):
+    """Yield (raw, point, label, z) for each root of the u = 0 branch
+    (CASE_I), then of the v = 0 branch (CASE_II), that passes its case
+    check and the pair check.
+
+    The branches solve LCP(A, p), and LCP(A - B D^-1 C, p - B D^-1 q) with
+    u = -D^-1 (C x + q), through _orthant_roots.  D is factored once, when
+    the v = 0 branch starts; a singular D ends it.
+    """
+    l = prob.dims.l
+    A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
+    for x, raw in _orthant_roots(A, p, opts):
+        z = PointZ(x, np.zeros(l))
+        if case_i_check(prob, x, ACCEPT_TOL) and _verified(prob, z):
+            yield raw, AugmentedPoint(x, z.u, 0.0), CaseLabel.CASE_I, z
+    try:
+        lu_D = lu_factor(D, name="D")
+    except SingularMatrix:
+        return
+    for x, raw in _orthant_roots(A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q), opts):
+        z = PointZ(x, -lu_solve(lu_D, C @ x + q))
+        if case_ii_check(prob, z, ACCEPT_TOL) and _verified(prob, z):
             t = float(np.linalg.norm(z.u))
-            report = _accept(kernel, raw, AugmentedPoint(z.x - t, z.u, t), label, z)
-            if report.residual_norm <= opts.residual_tol:
-                return report
+            yield raw, AugmentedPoint(x - t, z.u, t), CaseLabel.CASE_II, z
 
-    status = best.status
-    if status is SolveStatus.CONVERGED:
-        status = SolveStatus.DIVERGED
-    return SolveReport(
-        status=status,
-        point=AugmentedPoint.from_array(dims, best.x),
-        residual_norm=best.norm,
-        iterations=best.iterations,
-        residual_history=best.history,
-        case_label=CaseLabel.CASE_VI,
-        certified=False,
-        recovered=None,
-    )
+
+def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveReport:
+    """Full pipeline over the solution cases, first verified answer wins.
+
+    One loop takes the candidates of the augmented smooth system, from the
+    default start and num_random_starts seeded extra starts, then those of
+    the u = 0 and v = 0 branches (_reduced_candidates), and returns the
+    first whose augmented residual passes the tolerance.  Up to
+    k = ENUM_MAX_K the reduced roots are exact and their answers report 0
+    iterations.  An augmented answer is labelled by the shape of its pair
+    (classify_pair), so one whose image has a zero norm block is CASE_II.
+    When nothing is accepted, the report describes the best augmented run;
+    a run that converged to an invalid point (t <= 0 or failed
+    verification) is reported as Diverged.
+    """
+    if opts is None:
+        opts = SolverOptions()
+    kernel = FbKernel(prob)
+    runs: list[_RawSolve] = []
+    augmented = _augmented_candidates(prob, opts, kernel, runs)
+    for raw, point, label, z in itertools.chain(augmented, _reduced_candidates(prob, opts)):
+        report = _accept(kernel, raw, point, label, z)
+        if report.residual_norm <= opts.residual_tol:
+            return report
+    return _unsolved(prob, min(runs, key=lambda raw: raw.norm))

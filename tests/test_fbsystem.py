@@ -16,7 +16,6 @@ from esoclcp import (
     certify_solution,
     f_comp,
     f_eq,
-    fb_eval,
     fb_jacobian,
     fb_regularity_check,
     fb_residual,
@@ -33,7 +32,7 @@ from esoclcp import (
     stationarity_check,
 )
 from esoclcp.fbsystem import DEGENERATE_SLOPE, FbKernel, fb_pair
-from esoclcp.solvers import _case_ii_system, _orthant_system
+from esoclcp.solvers import _orthant_system
 from conftest import random_problem
 
 
@@ -143,15 +142,6 @@ def test_gradient_matches_merit_finite_differences():
         gfd = fd_jacobian(merit_at, w.to_array())[0]
         err = np.abs(g - gfd).max() / (1.0 + np.abs(g).max())
         assert err <= 1e-6, f"trial {trial}: gradient mismatch {err:.3e}"
-
-
-def test_fb_eval_consistency(example):
-    w = AugmentedPoint(np.array([0.3, -0.2, 0.8]), np.array([0.4, -0.1]), 0.7)
-    ev = fb_eval(example, w)
-    assert np.array_equal(ev.residual, fb_residual(example, w))
-    assert np.array_equal(ev.jacobian, fb_jacobian(example, w))
-    assert ev.merit == merit(example, w)
-    assert np.array_equal(ev.grad_merit, grad_merit(example, w))
 
 
 def test_index_sets_hand_example():
@@ -312,16 +302,13 @@ def test_reduced_jacobians_match_finite_differences():
         k = int(rng.integers(1, 6))
         l = int(rng.integers(1, 6))
         prob = random_problem(rng, k, l)
-        for res_fn, jac_fn, n in [
-            (*_orthant_system(prob.A, prob.p), k),
-            (*_case_ii_system(prob), k + l),
-        ]:
-            at = rng.uniform(-1.0, 1.0, n)
-            res, aux = res_fn(at)
-            analytic = jac_fn(at, aux)
-            numeric = fd_jacobian(lambda v: res_fn(v)[0], at)
-            err = np.abs(analytic - numeric).max() / (1.0 + np.abs(analytic).max())
-            assert err <= 1e-6, f"trial {trial} n={n}: mismatch {err:.3e}"
+        res_fn, jac_fn = _orthant_system(prob.A, prob.p)
+        at = rng.uniform(-1.0, 1.0, k)
+        res, aux = res_fn(at)
+        analytic = jac_fn(at, aux)
+        numeric = fd_jacobian(lambda v: res_fn(v)[0], at)
+        err = np.abs(analytic - numeric).max() / (1.0 + np.abs(analytic).max())
+        assert err <= 1e-6, f"trial {trial} k={k}: mismatch {err:.3e}"
 
 
 def test_certify_solution_is_the_regular_verdict(example):
@@ -361,7 +348,7 @@ def test_reduced_systems_match_reference_bit_for_bit():
     # pinned makes row 0 of T pick x_0 with r_0 = 0, so x_0 = 0 gives the
     # degenerate pair (0, 0).  A zero x_i with a positive partner gives
     # d_b = +0.0 and so -0.0 products, which the diagonal terms must turn
-    # into +0.0 inside the leading k x k block and keep elsewhere.
+    # into +0.0, as np.diag does.
     rng = np.random.default_rng(109)
     for k, l, pinned in itertools.product(range(1, 5), range(1, 4), (False, True)):
         T = rng.uniform(-5.0, 5.0, (k + l, k + l))
@@ -371,27 +358,18 @@ def test_reduced_systems_match_reference_bit_for_bit():
             T[0, 0] = 1.0
             r[0] = 0.0
         prob = LcpProblem(EsocDims(k, l), T, r, allow_singular=True)
-        A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
+        A, p = prob.A, prob.p
         for trial in range(4):
             z = rng.uniform(-1.0, 1.0, k + l)
             if pinned or trial % 2:
                 z[0] = 0.0
-            if trial == 3:
-                z[k] = 0.0
-            x, u = z[:k], z[k:]
+            x = z[:k]
 
             res_fn, jac_fn = _orthant_system(A, p)
             psi, d_a, d_b = _reference_slopes(x, A @ x + p)
             res, aux = res_fn(x)
             assert _same_bits(res, psi), f"k={k} l={l} trial {trial}"
             assert _same_bits(jac_fn(x, aux), np.diag(d_a) + d_b[:, None] * A), f"k={k} l={l} trial {trial}"
-
-            res_fn, jac_fn = _case_ii_system(prob)
-            psi, d_a, d_b = _reference_slopes(x, A @ x + B @ u + p)
-            want_jac = np.block([[np.diag(d_a) + d_b[:, None] * A, d_b[:, None] * B], [C, D]])
-            res, aux = res_fn(z)
-            assert _same_bits(res, np.concatenate([psi, C @ x + D @ u + q])), f"k={k} l={l} trial {trial}"
-            assert _same_bits(jac_fn(z, aux), want_jac), f"k={k} l={l} trial {trial}"
             if pinned:
                 assert d_a[0] == DEGENERATE_SLOPE
 

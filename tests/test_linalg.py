@@ -19,7 +19,6 @@ from esoclcp import (
     lu_factor,
     lu_solve,
     schur_complement,
-    solve,
 )
 
 
@@ -74,13 +73,6 @@ def test_lu_solve_checks_rhs_length():
     f = lu_factor(np.eye(3))
     with pytest.raises(DimensionMismatch):
         lu_solve(f, np.ones(4))
-
-
-def test_solve_one_shot():
-    m = np.array([[2.0, 1.0], [1.0, 3.0]])
-    b = np.array([3.0, 4.0])
-    x = solve(m, b)
-    assert np.abs(m @ x - b).max() <= 1e-12
 
 
 def test_lu_factor_rejects_singular():

@@ -125,8 +125,9 @@ def test_start_validation(example):
     bad = AugmentedPoint(np.ones(2), np.ones(2), 1.0)
     with pytest.raises(ValueError):
         newton_solve(example, SolverOptions(method="newton", start=bad))
-    with pytest.raises(ValueError):
-        newton_solve(example, SolverOptions(method="newton", start="center"))
+    for preset in ("center", "default"):
+        with pytest.raises(ValueError):
+            newton_solve(example, SolverOptions(method="newton", start=preset))
 
 
 def test_orthant_solver_known_lcp():
@@ -379,6 +380,18 @@ def test_newton_multistart_above_enum_max_k():
     assert rep.iterations > 0
     assert len(rep.residual_history) == rep.iterations + 1
     assert case_i_check(inst.problem, rep.recovered.x, 1e-6)
+
+
+def test_zero_image_branch_above_enum_max_k():
+    # Above ENUM_MAX_K the v = 0 branch runs the FB multistart on the
+    # reduced LCP; here it finds a root that extends to a case-ii solution.
+    inst = make_instance("ii", ENUM_MAX_K + 1, 3, 1)
+    found = [(raw, z) for raw, _, label, z in solvers._reduced_candidates(inst.problem, SolverOptions())
+             if label is CaseLabel.CASE_II]
+    assert found
+    raw, z = found[0]
+    assert raw.iterations > 0
+    assert case_ii_check(inst.problem, z, 1e-6)
 
 
 def test_singular_d_ends_zero_image_branch_quietly(monkeypatch):
