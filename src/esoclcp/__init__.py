@@ -3,6 +3,9 @@ second order cone: cone membership and complementarity checks, the
 augmented smooth reformulation, Fischer-Burmeister residuals and
 Jacobians, Newton / Levenberg-Marquardt solvers with a case-dispatch
 pipeline, seeded instance generation, and deterministic file I/O.
+
+The paper's conditions and reference formulas (`theory`) are off the solve
+path: their names are exported here but `theory` loads on first access.
 """
 
 from .cones import (
@@ -26,21 +29,7 @@ from .errors import (
     TooLarge,
     ZeroU,
 )
-from .fbsystem import (
-    IndexSets,
-    RegularityKind,
-    RegularityVerdict,
-    certify_solution,
-    fb_jacobian,
-    fb_regularity_check,
-    fb_residual,
-    grad_merit,
-    index_sets,
-    merit,
-    psi_fb,
-    s0_check,
-    stationarity_check,
-)
+from .fbsystem import certify_solution, fb_jacobian, fb_residual, psi_fb, s0_check
 from .fileio import (
     parse_problem,
     parse_report,
@@ -50,29 +39,13 @@ from .fileio import (
     serialize_solution,
 )
 from .instances import GeneratedInstance, example_problem, make_instance
-from .linalg import (
-    LuFactors,
-    as_matrix,
-    as_vector,
-    fd_jacobian,
-    lu_factor,
-    lu_solve,
-    schur_complement,
-)
+from .linalg import LuFactors, as_matrix, as_vector, lu_factor, lu_solve
 from .reformulation import (
     AugmentedPoint,
-    JacobianBlocks,
     LcpProblem,
-    MicpResidual,
     affine_map,
     case_i_check,
     case_ii_check,
-    f_comp,
-    f_eq,
-    icp_form,
-    jacobian_blocks,
-    micp_residual,
-    micp_residual_shifted,
     recover_solution,
 )
 from .solvers import (
@@ -158,3 +131,16 @@ __all__ = [
     "solve_esoclcp",
     "stationarity_check",
 ]
+
+
+def __getattr__(name):
+    # Every other exported name is bound above; the rest are theory's.
+    if name in __all__:
+        from . import theory
+
+        return getattr(theory, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

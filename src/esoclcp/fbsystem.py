@@ -6,23 +6,20 @@ folded into the smooth-away-from-zero function psi(a, b) = sqrt(a^2 + b^2)
 psi over the k orthant pairs followed by the equality residual gives a
 square system of size m + 1 whose zeros are the augmented solutions.
 FbKernel evaluates that system on raw arrays for the solvers' inner loop;
-fb_residual and fb_jacobian are its validating entry points, the merit,
-its gradient and the stationarity test are built on those two, and the
-certification helpers inspect the Jacobian structure at candidate points.
+fb_residual and fb_jacobian are its validating entry points, and
+certify_solution is the regularity certificate an answer must pass.
 fb_pair also serves the solvers' one other FB system, that of the orthant
-LCP both reduced branches solve above ENUM_MAX_K.
+LCP both reduced branches solve above ENUM_MAX_K.  The merit and the full
+regularity test, which asks s0_check for its advisory, are in `theory`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from enum import Enum
-
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import as_matrix, as_vector, schur_complement
-from .reformulation import AugmentedPoint, LcpProblem, f_comp, jacobian_blocks
+from .linalg import as_matrix
+from .reformulation import AugmentedPoint, LcpProblem
 
 # Subgradient element selected at exactly degenerate pairs (a, b) = (0, 0).
 DEGENERATE_SLOPE = 1.0 / np.sqrt(2.0) - 1.0
@@ -86,10 +83,10 @@ class FbKernel:
     (xhat, u, t) of length m + 1; nothing is validated here.  residual
     returns the stacked residual with the intermediates (x, y, e'y, d_a,
     d_b) that jacobian takes at the same point, so T z + r is evaluated
-    once per point.  The arithmetic is that of f_comp, f_eq and
-    jacobian_blocks, operation for operation.  jacobian rewrites the
-    kernel's diagonal-terms buffer on every call, so a kernel serves one
-    thread at a time.
+    once per point.  The arithmetic is that of the reference formulas
+    theory.f_comp, theory.f_eq and theory.jacobian_blocks, operation for
+    operation.  jacobian rewrites the kernel's diagonal-terms buffer on
+    every call, so a kernel serves one thread at a time.
     """
 
     def __init__(self, prob: LcpProblem):
@@ -129,7 +126,7 @@ class FbKernel:
 
         Rows are filled whole, so every pass is contiguous.  The equality
         rows are u [e'A | e'B] + [0 | (e'y) I] + t [C | D], the terms of
-        jacobian_blocks in the same order, each sum with its operands
+        theory.jacobian_blocks in the same order, each sum with its operands
         swapped; their last column is then overwritten with the t column.
         """
         k, m = self.k, self.m
@@ -155,8 +152,8 @@ class FbKernel:
 
         w is stationary for the merit (J'F zero to tol, relative to
         1 + ||F||), A is nonsingular and every orthant pair is
-        complementary within eps, which is index_sets with no residual
-        index.
+        complementary within eps, which is theory.index_sets with no
+        residual index.
         """
         grad = self.jacobian(w, aux).T @ res
         if not float(np.abs(grad).max()) <= tol * (1.0 + float(np.linalg.norm(res))):
@@ -187,49 +184,6 @@ def fb_jacobian(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
     return kernel.jacobian(arr, kernel.residual(arr)[1])
 
 
-def merit(prob: LcpProblem, w: AugmentedPoint) -> float:
-    """Half the squared residual norm."""
-    res = fb_residual(prob, w)
-    return 0.5 * float(res @ res)
-
-
-def grad_merit(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
-    """Gradient of merit: jacobian transposed times residual."""
-    return fb_jacobian(prob, w).T @ fb_residual(prob, w)
-
-
-@dataclass(frozen=True)
-class IndexSets:
-    """Partition of the orthant indices by how the pair (xhat_i, f1_i) sits.
-
-    comp holds the indices complementary within eps; res is its complement,
-    split into pos (both entries above eps) and neg (the rest).  Indices
-    are 0-based.
-    """
-
-    comp: frozenset
-    res: frozenset
-    pos: frozenset
-    neg: frozenset
-
-
-def index_sets(xhat, f1, eps: float = 1e-6) -> IndexSets:
-    """Classify each orthant pair; see IndexSets for the rules."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    xhat = as_vector(xhat, "xhat")
-    f1 = as_vector(f1, "f1")
-    if xhat.shape != f1.shape:
-        raise DimensionMismatch(f"xhat has length {xhat.shape[0]}, f1 has {f1.shape[0]}")
-    is_comp = (xhat >= -eps) & (f1 >= -eps) & (np.abs(xhat * f1) <= eps)
-    is_pos = ~is_comp & (xhat > eps) & (f1 > eps)
-    idx = np.arange(xhat.shape[0])
-    comp = frozenset(idx[is_comp].tolist())
-    res = frozenset(idx[~is_comp].tolist())
-    pos = frozenset(idx[is_pos].tolist())
-    return IndexSets(comp, res, pos, res - pos)
-
-
 def s0_check(m) -> bool:
     """Is there x >= 0, x != 0 with m x >= 0?  Decided by linear feasibility.
 
@@ -258,95 +212,12 @@ def s0_check(m) -> bool:
     return bool(result.status == 0)
 
 
-def stationarity_check(prob: LcpProblem, w: AugmentedPoint, tol: float = 1e-3) -> bool:
-    """Is grad_merit zero up to tol, relative to 1 + the residual norm?"""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    res = fb_residual(prob, w)
-    return float(np.abs(grad_merit(prob, w)).max()) <= tol * (1.0 + float(np.linalg.norm(res)))
-
-
-class RegularityKind(str, Enum):
-    REGULAR = "Regular"
-    INDETERMINATE = "Indeterminate"
-    IRREGULAR_WITNESS = "IrregularWitness"
-
-
-@dataclass(frozen=True, eq=False)
-class RegularityVerdict:
-    """Outcome of the FB-regularity test at a point.
-
-    Regular is only issued in the decidable case: A nonsingular and no
-    residual indices, where the sign-pattern condition quantifies over an
-    empty set.  IrregularWitness carries a null vector of A.  Indeterminate
-    carries the free-block Schur complement restricted to the residual
-    indices plus an advisory S0 flag for it, leaving judgement to the
-    caller.
-    """
-
-    kind: RegularityKind
-    reason: str
-    index_sets: IndexSets | None = None
-    witness: np.ndarray | None = None
-    schur_free: np.ndarray | None = None
-    s0_advisory: bool | None = None
-
-
-def fb_regularity_check(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6) -> RegularityVerdict:
-    """Certify regularity of the merit function at w where that is decidable.
-
-    eps drives the index-set classification.  Raises SingularMatrix if the
-    equality-block Jacobian cannot be eliminated in the Indeterminate
-    branch.
-    """
-    _check_dims(prob, w)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    try:
-        prob.lu_A
-    except SingularMatrix:
-        # Unit null vector of A witnesses the failure.
-        witness = np.linalg.svd(prob.A)[2][-1]
-        return RegularityVerdict(
-            RegularityKind.IRREGULAR_WITNESS,
-            "orthant block A is singular",
-            witness=witness,
-        )
-
-    sets = index_sets(w.xhat, f_comp(prob, w), eps)
-    if not sets.res:
-        return RegularityVerdict(
-            RegularityKind.REGULAR,
-            "no residual indices: the sign-pattern condition is vacuous",
-            index_sets=sets,
-        )
-
-    blocks = jacobian_blocks(prob, w)
-    stacked = np.block(
-        [[blocks.eq_ut, blocks.eq_x], [blocks.comp_ut, blocks.comp_x]]
-    )
-    free = schur_complement(stacked, prob.dims.l + 1, name="eq_ut")
-    idx = sorted(sets.res)
-    restricted = free[np.ix_(idx, idx)]
-    try:
-        advisory = s0_check(restricted)
-    except TooLarge:
-        advisory = None
-    return RegularityVerdict(
-        RegularityKind.INDETERMINATE,
-        "residual indices present: certificate undecided, see schur_free",
-        index_sets=sets,
-        schur_free=restricted,
-        s0_advisory=advisory,
-    )
-
-
 def certify_solution(
     prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6, tol: float = 1e-3
 ) -> bool:
     """True iff w is stationary for the merit and certified Regular.
 
-    That is the decidable branch of fb_regularity_check: A nonsingular and
+    That is the decidable branch of theory.fb_regularity_check: A nonsingular and
     no residual indices at eps.  Never raises on a singular block: such a
     point is simply not certified.
     """

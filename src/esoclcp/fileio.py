@@ -4,12 +4,12 @@ Files are JSON, written by a hand-rolled emitter so output is byte-stable:
 fixed key order, fixed layout (matrix rows one per line, scalar lists
 inline), floats printed with 17 significant digits so every double
 round-trips exactly, and no timestamps or environment echoes.  Parsing
-uses the stdlib JSON reader and validates shapes on the way in.
+uses the stdlib JSON reader, loaded only then and to quote a comment, and
+checks field types and shapes on the way in: k and l are JSON integers, T
+equal-length rows of numbers, and r, x and u lists of numbers.
 """
 
 from __future__ import annotations
-
-import json
 
 import numpy as np
 
@@ -39,6 +39,7 @@ def serialize_problem(prob: LcpProblem, comment: str | None = None) -> str:
     tail = "," if comment is not None else ""
     lines.append(f'  "r": {_flist(prob.r)}{tail}')
     if comment is not None:
+        import json
         lines.append(f'  "comment": {json.dumps(comment)}')
     lines.append("}")
     return "\n".join(lines) + "\n"
@@ -50,7 +51,26 @@ def _require(data: dict, key: str):
     return data[key]
 
 
+def _dims(data: dict) -> EsocDims:
+    for key in ("k", "l"):
+        if type(_require(data, key)) is not int:
+            raise ValueError(f'field "{key}" must be an integer, got {data[key]!r}')
+    return EsocDims(data["k"], data["l"])
+
+
+def _is_numbers(value) -> bool:
+    return type(value) is list and all(type(v) in (int, float) for v in value)
+
+
+def _numbers(data: dict, key: str) -> list:
+    value = _require(data, key)
+    if not _is_numbers(value):
+        raise ValueError(f'field "{key}" must be a list of numbers')
+    return value
+
+
 def _loads(text: str) -> dict:
+    import json
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -63,8 +83,11 @@ def _loads(text: str) -> dict:
 def parse_problem(text: str) -> LcpProblem:
     """Inverse of serialize_problem; comments are ignored."""
     data = _loads(text)
-    dims = EsocDims(int(_require(data, "k")), int(_require(data, "l")))
-    return LcpProblem(dims, np.array(_require(data, "T"), dtype=float), _require(data, "r"))
+    dims = _dims(data)
+    rows = _require(data, "T")
+    if type(rows) is not list or not all(map(_is_numbers, rows)) or len(set(map(len, rows))) > 1:
+        raise ValueError('field "T" must be a list of equal-length lists of numbers')
+    return LcpProblem(dims, np.array(rows, dtype=float), _numbers(data, "r"))
 
 
 def serialize_solution(dims: EsocDims, z: PointZ) -> str:
@@ -82,8 +105,8 @@ def serialize_solution(dims: EsocDims, z: PointZ) -> str:
 
 def parse_solution(text: str) -> PointZ:
     data = _loads(text)
-    dims = EsocDims(int(_require(data, "k")), int(_require(data, "l")))
-    z = PointZ(_require(data, "x"), _require(data, "u"))
+    dims = _dims(data)
+    z = PointZ(_numbers(data, "x"), _numbers(data, "u"))
     if z.dims != dims:
         raise ValueError(f"x/u lengths {z.dims} do not match declared k={dims.k}, l={dims.l}")
     return z
@@ -93,8 +116,9 @@ def serialize_report(report: SolveReport, opts: SolverOptions) -> str:
     """Report file: outcome, iterate, recovery and an echo of the options."""
     p = report.point
     lines = ["{"]
-    lines.append(f'  "status": {json.dumps(report.status.value)},')
-    lines.append(f'  "case_label": {json.dumps(report.case_label.value)},')
+    # status, case_label and method are fixed identifiers: nothing to escape.
+    lines.append(f'  "status": "{report.status.value}",')
+    lines.append(f'  "case_label": "{report.case_label.value}",')
     lines.append(
         f'  "point": {{"xhat": {_flist(p.xhat)}, "u": {_flist(p.u)}, "t": {_fnum(p.t)}}},'
     )
@@ -109,7 +133,7 @@ def serialize_report(report: SolveReport, opts: SolverOptions) -> str:
     lines.append(f'  "residual_history": {_flist(report.residual_history)},')
     lines.append(
         '  "options": {'
-        f'"method": {json.dumps(opts.method)}, '
+        f'"method": "{opts.method}", '
         f'"tol": {_fnum(opts.residual_tol)}, '
         f'"mu": {_fnum(opts.mu)}, '
         f'"max_iter": {opts.max_iter}, '

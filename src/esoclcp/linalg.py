@@ -1,6 +1,6 @@
-"""Dense linear algebra helpers: validated containers, LU with partial
-pivoting, Schur complements, and a finite-difference Jacobian used as the
-test-time ground truth for every analytic derivative in the package.
+"""Dense linear algebra helpers: validated containers and LU with partial
+pivoting.  The Schur complement and the finite-difference Jacobian, the
+test-time ground truth for the analytic derivatives, are in `theory`.
 
 Everything here works on plain float64 numpy arrays.  The wrappers add the
 two guarantees the rest of the package relies on: inputs are finite, and
@@ -81,10 +81,6 @@ dgetrf, dgetrs = _load_getrf_getrs()
 # tolerance, so one fixed relative threshold is used everywhere.
 PIVOT_RTOL = 1e-12
 
-# Default central-difference step; balances truncation against rounding for
-# float64 at the O(1)..O(100) scales used here.
-FD_STEP = 1e-6
-
 
 def as_vector(v, name="vector"):
     """Coerce to a finite 1-d float64 array."""
@@ -164,41 +160,3 @@ def lu_solve(f: LuFactors, b):
         return rhs.copy()
     x, _ = dgetrs(f.lu, f.piv, rhs)
     return x
-
-
-def schur_complement(pi, top_left_dim: int, name: str = "leading block"):
-    """Schur complement S - R P^-1 Q of the leading block of pi = [[P,Q],[R,S]].
-
-    Raises SingularMatrix if the leading top_left_dim block P is singular;
-    `name` labels that block in the error message.
-    """
-    a = as_matrix(pi, "schur_complement input")
-    n, ncols = a.shape
-    if n != ncols:
-        raise DimensionMismatch(f"schur_complement: matrix must be square, got {a.shape}")
-    d = int(top_left_dim)
-    if not 0 < d < n:
-        raise DimensionMismatch(f"schur_complement: top_left_dim {d} out of range for n={n}")
-    P, Q = a[:d, :d], a[:d, d:]
-    R, S = a[d:, :d], a[d:, d:]
-    return S - R @ lu_solve(lu_factor(P, name=name), Q)
-
-
-def fd_jacobian(f, at, h: float = FD_STEP):
-    """Central-difference Jacobian of a vector-valued f at a point.
-
-    Column j is (f(at + h e_j) - f(at - h e_j)) / (2h).  Used as the oracle
-    that analytic Jacobians are tested against.
-    """
-    x0 = as_vector(at, "fd_jacobian point")
-    if h <= 0:
-        raise ValueError(f"fd_jacobian: step must be positive, got {h}")
-    n = x0.size
-    cols = []
-    for j in range(n):
-        step = np.zeros(n)
-        step[j] = h
-        fp = np.asarray(f(x0 + step), dtype=float)
-        fm = np.asarray(f(x0 - step), dtype=float)
-        cols.append((fp - fm) / (2.0 * h))
-    return np.column_stack(cols)

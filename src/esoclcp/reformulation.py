@@ -11,19 +11,21 @@ The complementarity problem asks for z = (x, u) in the cone, w = T z + r in
 the dual cone, with <z, w> = 0.  When u != 0, writing t for ||u|| and
 xhat = x - t e >= 0 turns the nonsmooth system into a polynomial one in the
 augmented variable (xhat, u, t), which is what the solvers operate on.
+This module holds the problem and point containers, the recovery of z from
+an augmented point and the per-case checks; the reference augmented map,
+its Jacobian blocks and the implicit form are in `theory`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .cones import EsocDims, PointZ, orthant_comp_violation
-from .errors import DegenerateT, InfeasibleXhat, ShapeUnsupported, ZeroU
-from .linalg import LuFactors, as_matrix, as_vector, lu_factor, lu_solve
+from .errors import DegenerateT, InfeasibleXhat
+from .linalg import LuFactors, as_matrix, as_vector, lu_factor
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,76 +132,11 @@ class AugmentedPoint:
         return cls(arr[:k], arr[k : dims.m], arr[dims.m])
 
 
-class JacobianBlocks(NamedTuple):
-    """Blocks of the derivative of (f_comp, f_eq) at an augmented point.
-
-    comp_x is k x k, comp_ut is k x (l+1), eq_x is (l+1) x k and eq_ut is
-    (l+1) x (l+1); columns are ordered (xhat, u, t) throughout.
-    """
-
-    comp_x: np.ndarray
-    comp_ut: np.ndarray
-    eq_x: np.ndarray
-    eq_ut: np.ndarray
-
-
 def affine_map(prob: LcpProblem, z: PointZ) -> PointZ:
     """Evaluate w = T z + r, returned in the same block split (y, v)."""
     w = prob.T @ z.to_array() + prob.r
     k = prob.dims.k
     return PointZ(w[:k], w[k:])
-
-
-def _affine_at(prob: LcpProblem, w: AugmentedPoint):
-    """(x, y, v) with x = xhat + t e and (y, v) the blocks of T(x,u) + r."""
-    x = w.xhat + w.t
-    img = affine_map(prob, PointZ(x, w.u))
-    return x, img.x, img.u
-
-
-def f_comp(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
-    """Orthant-block residual A(xhat + t e) + B u + p, paired with xhat."""
-    _, y, _ = _affine_at(prob, w)
-    return y
-
-
-def f_eq(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
-    """Equality residual: the norm-block equations followed by t^2 - ||u||^2.
-
-    The first l entries equal t v + (e^T y) u where (y, v) are the blocks of
-    T(x, u) + r at x = xhat + t e; they vanish together with f_comp
-    complementarity exactly when (x, u) solves the cone problem with
-    t = ||u||.
-    """
-    _, y, v = _affine_at(prob, w)
-    top = w.t * v + w.u * y.sum()
-    return np.concatenate([top, [w.t * w.t - w.u @ w.u]])
-
-
-def jacobian_blocks(prob: LcpProblem, w: AugmentedPoint) -> JacobianBlocks:
-    """Analytic derivative blocks of (f_comp, f_eq) at w.
-
-    Columns are grouped as (xhat, u, t).  f_comp is affine, so its blocks
-    are constant: A and [B | A e].  The f_eq blocks collect the product
-    rule terms of t v + (e^T y) u and of t^2 - ||u||^2.
-    """
-    k, l = prob.dims.k, prob.dims.l
-    A, B, C, D, q = prob.A, prob.B, prob.C, prob.D, prob.q
-    x, y, v = _affine_at(prob, w)
-    u, t = w.u, w.t
-
-    comp_x = A.copy()
-    comp_ut = np.hstack([B, (A.sum(axis=1))[:, None]])
-
-    eq_x = np.zeros((l + 1, k))
-    eq_x[:l] = t * C + np.outer(u, A.sum(axis=0))
-
-    eq_ut = np.zeros((l + 1, l + 1))
-    eq_ut[:l, :l] = y.sum() * np.eye(l) + np.outer(u, B.sum(axis=0)) + t * D
-    eq_ut[:l, l] = C @ x + t * C.sum(axis=1) + A.sum() * u + D @ u + q
-    eq_ut[l, :l] = -2.0 * u
-    eq_ut[l, l] = 2.0 * t
-    return JacobianBlocks(comp_x, comp_ut, eq_x, eq_ut)
 
 
 def recover_solution(w: AugmentedPoint, tol: float = 1e-6) -> PointZ:
@@ -254,65 +191,3 @@ def case_ii_check(prob: LcpProblem, z: PointZ, tol: float = 1e-6) -> bool:
     if orthant_comp_violation(x, y) > tol:
         return False
     return x.min() >= nu - tol * (1.0 + nu)
-
-
-class MicpResidual(NamedTuple):
-    """How far a candidate with u != 0 is from the implicit-form equations."""
-
-    f2_norm: float
-    comp_violation: float
-
-
-def micp_residual(prob: LcpProblem, z: PointZ) -> MicpResidual:
-    """Implicit-form residual at an unshifted point z = (x, u), u != 0.
-
-    f2_norm is the sup-norm of (||u|| C + u e^T A) x + u e^T (B u + p)
-    + ||u|| (D u + q); comp_violation measures orthant complementarity of
-    (x - ||u|| e, A x + B u + p).
-    """
-    if z.dims != prob.dims:
-        raise ValueError(f"point dims {z.dims} do not match problem dims {prob.dims}")
-    x, u = z.x, z.u
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        raise ZeroU("residual undefined at u = 0")
-    f2 = (nu * prob.C + np.outer(u, prob.A.sum(axis=0))) @ x
-    f2 += u * (prob.B @ u + prob.p).sum() + nu * (prob.D @ u + prob.q)
-    y = prob.A @ x + prob.B @ u + prob.p
-    return MicpResidual(float(np.abs(f2).max()), orthant_comp_violation(x - nu, y))
-
-
-def micp_residual_shifted(prob: LcpProblem, zhat: PointZ) -> MicpResidual:
-    """Implicit-form residual at a shifted point zhat = (xhat, u), u != 0.
-
-    Evaluates micp_residual at x = xhat + ||u|| e, so the comp_violation is
-    taken against xhat itself.
-    """
-    nu = float(np.linalg.norm(zhat.u))
-    if nu == 0.0:
-        raise ZeroU("residual undefined at u = 0")
-    return micp_residual(prob, PointZ(zhat.x + nu, zhat.u))
-
-
-def icp_form(prob: LcpProblem, u) -> tuple[np.ndarray, np.ndarray]:
-    """Eliminate x from the implicit form, for square blocks (l = k) only.
-
-    Returns (F1, F2) where F2 = -x solves
-    (||u|| C + u e^T A) F2 = u e^T (B u + p) + ||u|| (D u + q) and
-    F1 = A F2 + B u + p.  Raises ShapeUnsupported when l != k, ZeroU at
-    u = 0 and SingularMatrix when the elimination matrix is singular.
-    """
-    k, l = prob.dims.k, prob.dims.l
-    if l != k:
-        raise ShapeUnsupported(f"elimination needs l = k, got k = {k}, l = {l}")
-    u = as_vector(u, "u")
-    if u.shape != (l,):
-        raise ValueError(f"u must have length {l}, got {u.shape[0]}")
-    nu = float(np.linalg.norm(u))
-    if nu == 0.0:
-        raise ZeroU("elimination undefined at u = 0")
-    M = nu * prob.C + np.outer(u, prob.A.sum(axis=0))
-    rhs = u * (prob.B @ u + prob.p).sum() + nu * (prob.D @ u + prob.q)
-    F2 = lu_solve(lu_factor(M, name="||u|| C + u e^T A"), rhs)
-    F1 = prob.A @ F2 + prob.B @ u + prob.p
-    return F1, F2

@@ -180,20 +180,48 @@ def test_gen_rejects_bad_dims(capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_solve_example_imports_neither_scipy_linalg_nor_optimize():
-    # The LU routines come straight from scipy's compiled LAPACK extension
-    # and scipy.optimize serves only the Indeterminate regularity advisory;
-    # a fresh interpreter solving the example must pay for neither package.
+def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():
+    # The LU routines come straight from scipy's compiled LAPACK extension,
+    # scipy.optimize serves only the Indeterminate regularity advisory, no
+    # solve runs the paper's conditions in esoclcp.theory, and a report
+    # needs no JSON quoting; a fresh interpreter solving the example must
+    # load none of them.
     code = (
         "import contextlib, io, sys\n"
         "from esoclcp.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['solve', 'example-paper', '--json']) == 0\n"
-        "print(sorted({'scipy.linalg', 'scipy.optimize'} & set(sys.modules)))\n"
+        "    assert main(['solve', 'example-paper']) == 0\n"
+        "loaded = {'scipy.linalg', 'scipy.optimize', 'esoclcp.theory', 'json'}\n"
+        "print(sorted(loaded & set(sys.modules)))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("k", "3"), ("k", 3.0), ("k", None), ("k", [1]), ("l", True), ("r", {"a": 1})],
+)
+def test_solve_rejects_mistyped_problem_fields(key, value, tmp_path, capsys):
+    data = json.loads(serialize_problem(example_problem()))
+    data[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f'error: field "{key}" must be')
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_fractional_solution_dims(tmp_path, capsys):
+    path = tmp_path / "bad.solution"
+    path.write_text('{"k": 3.9, "l": 2, "x": [1, 1, 1], "u": [0, 0]}', encoding="utf-8")
+    assert main(["verify", "example-paper", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith('error: field "k" must be an integer, got 3.9')
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

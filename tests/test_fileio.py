@@ -96,6 +96,59 @@ def test_solution_dims_crosscheck():
         parse_solution('{"k": 2, "l": 1, "x": [1.0], "u": [0.0]}')
 
 
+def problem_text_with(key, value):
+    """The example's problem file with one field replaced."""
+    data = json.loads(serialize_problem(example_problem()))
+    data[key] = value
+    return json.dumps(data)
+
+
+def solution_text_with(key, value):
+    """A valid k = 3, l = 2 solution file with one field replaced."""
+    data = {"k": 3, "l": 2, "x": [1.0, 2.0, 3.0], "u": [0.5, 0.0]}
+    data[key] = value
+    return json.dumps(data)
+
+
+BAD_PROBLEM_FIELDS = [
+    ("k", "3"),
+    ("k", 3.0),
+    ("k", None),
+    ("k", [1]),
+    ("l", True),
+    ("T", "T"),
+    ("T", [[1.0, 2.0], [3.0]]),
+    ("T", [[1.0, "2"], [3.0, 4.0]]),
+    ("r", {"a": 1}),
+    ("r", [1.0, True, 0.0, 0.0, 0.0]),
+]
+
+BAD_SOLUTION_FIELDS = [
+    ("k", 3.9),
+    ("l", "2"),
+    ("x", [1.0, None, 3.0]),
+    ("u", "0.5"),
+]
+
+
+@pytest.mark.parametrize("key, value", BAD_PROBLEM_FIELDS)
+def test_parse_problem_checks_field_types(key, value):
+    with pytest.raises(ValueError, match=f'field "{key}" must be'):
+        parse_problem(problem_text_with(key, value))
+
+
+@pytest.mark.parametrize("key, value", BAD_SOLUTION_FIELDS)
+def test_parse_solution_checks_field_types(key, value):
+    with pytest.raises(ValueError, match=f'field "{key}" must be'):
+        parse_solution(solution_text_with(key, value))
+
+
+def test_integer_valued_lists_still_parse():
+    prob = parse_problem(problem_text_with("r", [1, 0, -2, 0, 1]))
+    assert prob.r.tolist() == [1.0, 0.0, -2.0, 0.0, 1.0]
+    assert parse_solution(solution_text_with("x", [1, 2, 3])).x.tolist() == [1.0, 2.0, 3.0]
+
+
 def test_report_round_trip_converged():
     prob = example_problem()
     opts = SolverOptions()

@@ -19,9 +19,11 @@ the change won; then ``failed``/``attempted`` and ``correct`` per side.
 FILE`` adds the workload's summary to FILE (a ``BENCH_*.json``; created
 when absent, other workloads' entries kept): per metric both sides' medians
 and quartiles, the seeds, ``failed``/``attempted`` per side, the ``src/``
-line count of each checkout and the machine's facts, so running it once per
-workload with the same FILE collects every workload of one comparison.
-Standard library only.
+line count of each checkout (``src_lines``), the line count of the
+``esoclcp`` modules a fresh ``import esoclcp.cli`` loads from it
+(``cold_path_lines``, also printed before the runs) and the machine's facts,
+so running it once per workload with the same FILE collects every workload
+of one comparison.  Standard library only.
 """
 
 from __future__ import annotations
@@ -70,6 +72,30 @@ def src_lines(checkout: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
+# Run in a fresh interpreter with the checkout's src/ as argv[1]: prints the
+# files of the esoclcp modules that importing the CLI loads.
+COLD_PATH_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import esoclcp.cli
+for name, module in sys.modules.items():
+    if name.split(".")[0] == "esoclcp":
+        print(module.__file__)
+"""
+
+
+def cold_path_lines(checkout: Path) -> int:
+    """Lines of the esoclcp modules a fresh `import esoclcp.cli` loads."""
+    src = (checkout / "src").resolve()
+    proc = subprocess.run([sys.executable, "-c", COLD_PATH_PROBE, str(src)],
+                          capture_output=True, text=True, check=True)
+    files = [Path(line) for line in proc.stdout.splitlines()]
+    stray = [str(path) for path in files if src not in path.resolve().parents]
+    if stray:
+        raise SystemExit(f"{checkout}: esoclcp loaded from outside its src/: {stray}")
+    return sum(len(path.read_bytes().splitlines()) for path in files)
+
+
 def machine_facts() -> dict:
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text(encoding="utf-8").splitlines() if cpuinfo.exists() else []
@@ -85,15 +111,18 @@ def machine_facts() -> dict:
     }
 
 
-def write_bench_json(path: Path, sides: dict[str, Path], workload: str, entry: dict) -> None:
-    """Add one workload's entry to the BENCH file at path."""
-    lines = {side: src_lines(checkout) for side, checkout in sides.items()}
-    record = {"src_lines": lines, "machine": machine_facts(), "workloads": {}}
+def write_bench_json(path: Path, lines: dict[str, dict], workload: str, entry: dict) -> None:
+    """Add one workload's entry to the BENCH file at path.
+
+    lines maps "src_lines" and "cold_path_lines" to their count per side.
+    """
+    record = {**lines, "machine": machine_facts(), "workloads": {}}
     if path.exists():
         record = json.loads(path.read_text(encoding="utf-8"))
-        if record["src_lines"] != lines:
-            raise SystemExit(f"{path} compares trees with src/ lines {record['src_lines']}, "
-                             f"these have {lines}")
+        for key, counts in lines.items():
+            if record.get(key) != counts:
+                raise SystemExit(f"{path} compares trees with {key} {record.get(key)}, "
+                                 f"these have {counts}")
     record["workloads"][workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
@@ -113,6 +142,11 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     metrics = bench["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
+    lines = {"src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
+             "cold_path_lines": {side: cold_path_lines(checkout) for side, checkout in sides.items()}}
+    for side in sides:
+        print(f"{side}: src/ {lines['src_lines'][side]} lines, "
+              f"cold path {lines['cold_path_lines'][side]} lines", flush=True)
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for index, seed in enumerate(args.seeds):
@@ -159,7 +193,7 @@ def main(argv=None) -> int:
     if args.bench_json is not None:
         entry = {"seeds": args.seeds, "seconds": seconds, "pairs": len(args.seeds),
                  "metrics": summary, "outcomes": outcomes}
-        write_bench_json(args.bench_json, sides, args.workload, entry)
+        write_bench_json(args.bench_json, lines, args.workload, entry)
     return 0
 
 
