@@ -55,7 +55,6 @@ from .solvers import (
     SolverOptions,
     lm_solve,
     newton_solve,
-    orthant_lcp_solve,
     solve_esoclcp,
 )
 
@@ -117,7 +116,6 @@ __all__ = [
     "micp_residual_shifted",
     "newton_solve",
     "orthant_comp_violation",
-    "orthant_lcp_solve",
     "parse_problem",
     "parse_report",
     "parse_solution",

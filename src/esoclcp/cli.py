@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cones import classify_pair, comp_pair_check, in_esoc, in_esoc_dual
+from .cones import PairCase, classify_pair, in_esoc, in_esoc_dual
 from .errors import EsoclcpError
 from .fileio import (
     parse_problem,
@@ -90,8 +90,8 @@ def _cmd_verify(args) -> int:
     if z.dims != prob.dims:
         raise ValueError(f"candidate dims {z.dims} do not match problem dims {prob.dims}")
     w = affine_map(prob, z)
-    ok = comp_pair_check(z, w, args.tol)
     case, cert = classify_pair(z, w, args.tol)
+    ok = case is not PairCase.NOT_COMPLEMENTARY
     print(f"case: {case.value}")
     if cert is not None:
         print(f"lambda: {cert.lambda_:.12g}")

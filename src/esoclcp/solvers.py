@@ -18,6 +18,11 @@ either: up to k = ENUM_MAX_K it enumerates the complementary supports
 (lcp_roots); above it, it runs the Newton/LM multistart on the orthant FB
 system.  Every candidate is accepted only after the independent
 complementarity checks pass.
+
+newton_solve and lm_solve run the augmented system from opts.start alone
+and accept through the same loop: an answer is labelled by the shape of
+its pair, and a run that converged to a rejected point is reported as
+Diverged.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .fbsystem import FbKernel, diagonal_terms, fb_pair
 # Not called here, but kept bound in this namespace, where per-layer tracing
 # (perfbench/tracer.py) looks up the package's layers.
 from .fbsystem import certify_solution, fb_jacobian, fb_residual, psi_fb  # noqa: F401
-from .linalg import as_matrix, as_vector, lu_factor, lu_solve
+from .linalg import lu_factor, lu_solve
 from .reformulation import (
     AugmentedPoint,
     LcpProblem,
@@ -50,10 +55,9 @@ from .reformulation import (
 # Residual growth factor over the running minimum that aborts a run.
 DIVERGENCE_FACTOR = 1e6
 
-# Acceptance tolerance for recovered solutions and case checks, and the
-# smallest t treated as a genuine nonzero norm in the pipeline.
+# Acceptance tolerance for recovered solutions and case checks; recovery
+# also needs t above it.
 ACCEPT_TOL = 1e-6
-T_MIN = 1e-6
 
 # Largest k whose reduced branches enumerate all 2^k supports; above it they
 # keep the Newton/LM multistart.  Enumerating both branches in full took 0.6
@@ -100,7 +104,8 @@ class SolverOptions:
 
     def __post_init__(self):
         # The only check of these knobs: the engine trusts them on every
-        # iterate, and the report writes the counts as JSON integers.
+        # iterate, and the report writes the counts as JSON integers.  Only
+        # start's dims wait for the problem (_resolve_start).
         if self.method not in ("newton", "lm"):
             raise ValueError(f"method must be 'newton' or 'lm', got {self.method!r}")
         if not 0 < self.residual_tol < math.inf:
@@ -111,6 +116,8 @@ class SolverOptions:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+        if not (self.start is None or isinstance(self.start, AugmentedPoint)):
+            raise ValueError(f"start must be None or an AugmentedPoint, got {self.start!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,31 +199,16 @@ def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
     if opts.start is None:
         k, l = prob.dims.k, prob.dims.l
         return np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l), [1.0]])
-    if isinstance(opts.start, AugmentedPoint):
-        if opts.start.dims != prob.dims:
-            raise ValueError(f"start dims {opts.start.dims} do not match problem {prob.dims}")
-        return opts.start.to_array()
-    raise ValueError(f"unrecognized start preset {opts.start!r}")
-
-
-def _fb_report(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
-    kernel = FbKernel(prob)
-    raw = _iterate(kernel.residual, kernel.jacobian, _resolve_start(opts, prob), opts)
-    if raw.status is not SolveStatus.CONVERGED:
-        return _unsolved(prob, raw)
-    point = AugmentedPoint.from_array(prob.dims, raw.x)
-    try:
-        recovered = recover_solution(point, T_MIN)
-    except (EsoclcpError, ValueError):
-        recovered = None
-    return _accept(kernel, raw, point, CaseLabel.CASE_VI, recovered)
+    if opts.start.dims != prob.dims:
+        raise ValueError(f"start dims {opts.start.dims} do not match problem {prob.dims}")
+    return opts.start.to_array()
 
 
 def newton_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
     """Pure Newton steps on the augmented FB system from opts.start."""
     if opts.method != "newton":
         raise ValueError(f"newton_solve needs method='newton', got {opts.method!r}")
-    return _fb_report(prob, opts)
+    return _first_answer(prob, opts, [_resolve_start(opts, prob)])
 
 
 def lm_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
@@ -225,7 +217,7 @@ def lm_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
         raise ValueError(f"lm_solve needs method='lm', got {opts.method!r}")
     if not opts.mu > 0:
         raise ValueError(f"lm_solve needs mu > 0, got {opts.mu}")
-    return _fb_report(prob, opts)
+    return _first_answer(prob, opts, [_resolve_start(opts, prob)])
 
 
 def _orthant_system(A: np.ndarray, p: np.ndarray):
@@ -270,27 +262,6 @@ def lcp_roots(M: np.ndarray, q: np.ndarray):
             w = M @ x + q
             if min(x.min(), w.min()) >= -ENUM_RTOL * (1.0 + max(np.abs(x).max(), np.abs(w).max())):
                 yield x
-
-
-def orthant_lcp_solve(A, p, opts: SolverOptions) -> tuple[np.ndarray, SolveStatus]:
-    """Solve the plain orthant problem: x >= 0, Ax + p >= 0, x^T(Ax+p) = 0.
-
-    Up to k = ENUM_MAX_K, returns the first root lcp_roots yields.  Above
-    it, or when lcp_roots yields none, runs the FB iteration on
-    psi(x_i, (Ax+p)_i) from the all-ones start and returns its final or
-    best iterate with its status.  A must be nonsingular.
-    """
-    A = as_matrix(A, "A")
-    p = as_vector(p, "p")
-    if A.shape[0] != A.shape[1] or A.shape[0] != p.shape[0]:
-        raise ValueError(f"incompatible shapes A {A.shape}, p {p.shape}")
-    lu_factor(A, name="A")
-    if A.shape[0] <= ENUM_MAX_K:
-        for x in lcp_roots(A, p):
-            return x, SolveStatus.CONVERGED
-    res_fn, jac_fn = _orthant_system(A, p)
-    raw = _iterate(res_fn, jac_fn, np.ones(A.shape[0]), opts)
-    return raw.x, raw.status
 
 
 def _orthant_roots(M: np.ndarray, r: np.ndarray, opts: SolverOptions):
@@ -369,18 +340,16 @@ def _starts(first: np.ndarray, opts: SolverOptions, bounds):
         yield np.concatenate([rng.uniform(low, high, size) for low, high, size in bounds])
 
 
-def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKernel, runs: list):
-    """Yield (raw, point, label, z) for each augmented run whose t is
-    genuinely positive and whose recovered pair is complementary, labelled
-    by the shape of that pair; every run is appended to runs."""
-    dims = prob.dims
-    k, l, m = dims.k, dims.l, dims.m
-    for start in _starts(_resolve_start(opts, prob), opts, [(0.0, 1.0, k), (-1.0, 1.0, l), (0.5, 1.5, 1)]):
+def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKernel, starts, runs: list):
+    """Yield (raw, point, label, z) for each augmented run from starts whose
+    point recovers (t above ACCEPT_TOL) to a complementary pair, labelled by
+    the shape of that pair; every run is appended to runs."""
+    for start in starts:
         raw = _iterate(kernel.residual, kernel.jacobian, start, opts)
         runs.append(raw)
-        if raw.status is not SolveStatus.CONVERGED or not raw.x[m] > T_MIN:
+        if raw.status is not SolveStatus.CONVERGED:
             continue
-        point = AugmentedPoint.from_array(dims, raw.x)
+        point = AugmentedPoint.from_array(prob.dims, raw.x)
         try:
             z = recover_solution(point, ACCEPT_TOL)
         except (EsoclcpError, ValueError):
@@ -416,6 +385,20 @@ def _reduced_candidates(prob: LcpProblem, opts: SolverOptions):
             yield raw, AugmentedPoint(x - t, z.u, t), CaseLabel.CASE_II, z
 
 
+def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> SolveReport:
+    """The first candidate, of the augmented runs from starts and then of
+    reduced, whose augmented residual passes the tolerance; failing that,
+    the report of the best augmented run."""
+    kernel = FbKernel(prob)
+    runs: list[_RawSolve] = []
+    augmented = _augmented_candidates(prob, opts, kernel, starts, runs)
+    for raw, point, label, z in itertools.chain(augmented, reduced):
+        report = _accept(kernel, raw, point, label, z)
+        if report.residual_norm <= opts.residual_tol:
+            return report
+    return _unsolved(prob, min(runs, key=lambda raw: raw.norm))
+
+
 def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveReport:
     """Full pipeline over the solution cases, first verified answer wins.
 
@@ -432,11 +415,6 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
     """
     if opts is None:
         opts = SolverOptions()
-    kernel = FbKernel(prob)
-    runs: list[_RawSolve] = []
-    augmented = _augmented_candidates(prob, opts, kernel, runs)
-    for raw, point, label, z in itertools.chain(augmented, _reduced_candidates(prob, opts)):
-        report = _accept(kernel, raw, point, label, z)
-        if report.residual_norm <= opts.residual_tol:
-            return report
-    return _unsolved(prob, min(runs, key=lambda raw: raw.norm))
+    k, l = prob.dims.k, prob.dims.l
+    starts = _starts(_resolve_start(opts, prob), opts, [(0.0, 1.0, k), (-1.0, 1.0, l), (0.5, 1.5, 1)])
+    return _first_answer(prob, opts, starts, _reduced_candidates(prob, opts))

@@ -1,4 +1,4 @@
-"""Newton/LM engines, the orthant branch, and the case-dispatch pipeline."""
+"""Newton/LM engines, the orthant LCP roots, and the case-dispatch pipeline."""
 
 import itertools
 
@@ -10,18 +10,18 @@ from esoclcp import (
     CaseLabel,
     EsocDims,
     LcpProblem,
+    PairCase,
     PointZ,
-    SingularMatrix,
     SolveStatus,
     SolverOptions,
     affine_map,
     case_i_check,
     case_ii_check,
+    classify_pair,
     comp_pair_check,
     lm_solve,
     make_instance,
     newton_solve,
-    orthant_lcp_solve,
     solve_esoclcp,
 )
 import esoclcp.solvers as solvers
@@ -57,6 +57,9 @@ def test_options_defaults_and_validation():
         ("max_iter", 2.5),
         ("num_random_starts", 1.5),
         ("rng_seed", -1),
+        ("start", "center"),
+        ("start", "default"),
+        pytest.param("start", np.ones(6), id="start-array"),
     ],
 )
 def test_options_reject_non_finite_and_non_integer_knobs(field, value):
@@ -125,25 +128,6 @@ def test_start_validation(example):
     bad = AugmentedPoint(np.ones(2), np.ones(2), 1.0)
     with pytest.raises(ValueError):
         newton_solve(example, SolverOptions(method="newton", start=bad))
-    for preset in ("center", "default"):
-        with pytest.raises(ValueError):
-            newton_solve(example, SolverOptions(method="newton", start=preset))
-
-
-def test_orthant_solver_known_lcp():
-    A = np.eye(2)
-    p = np.array([-1.0, 2.0])
-    x, status = orthant_lcp_solve(A, p, SolverOptions())
-    assert status is SolveStatus.CONVERGED
-    assert np.abs(x - np.array([1.0, 0.0])).max() <= 1e-7, f"x = {x}"
-
-
-def test_orthant_solver_falls_back_to_iteration_without_root():
-    # LCP(-1, -1) has no solution, so no support yields a root and the FB
-    # iteration from the all-ones start gives its own verdict.
-    x, status = orthant_lcp_solve(-np.eye(1), -np.ones(1), SolverOptions(max_iter=5))
-    assert status is not SolveStatus.CONVERGED
-    assert x.shape == (1,)
 
 
 def _assert_lcp_root(M, q, x, tol=1e-9):
@@ -201,9 +185,50 @@ def test_lcp_roots_visit_supports_by_size_then_lexicographically(monkeypatch):
     assert seen == [s for r in range(1, 4) for s in itertools.combinations(range(3), r)]
 
 
-def test_orthant_solver_rejects_singular():
-    with pytest.raises(SingularMatrix):
-        orthant_lcp_solve(np.zeros((2, 2)), np.ones(2), SolverOptions())
+def _single_start(method, case, k, l, seed):
+    inst = make_instance(case, k, l, seed)
+    opts = SolverOptions(method=method)
+    return inst.problem, (newton_solve if method == "newton" else lm_solve)(inst.problem, opts)
+
+
+def test_single_start_labels_zero_image_answer_case_ii():
+    prob, rep = _single_start("lm", "vi", 2, 2, 201)
+    assert rep.status is SolveStatus.CONVERGED
+    assert rep.case_label is CaseLabel.CASE_II
+    assert case_ii_check(prob, rep.recovered, 1e-6)
+
+
+def test_single_start_at_negative_t_is_diverged():
+    # The run converges to the spurious root t = -||u||, which recovers no pair.
+    _, rep = _single_start("lm", "vi", 4, 5, 208)
+    assert rep.point.t < 0.0
+    assert rep.status is SolveStatus.DIVERGED
+    assert rep.recovered is None
+    assert not rep.certified
+
+
+def test_single_start_rejects_a_pair_that_fails_the_check():
+    # The run converges at t = 4e-5 to a point whose pair is not complementary.
+    _, rep = _single_start("newton", "vi", 4, 3, 223)
+    assert rep.status is not SolveStatus.CONVERGED
+    assert rep.recovered is None
+
+
+def test_single_start_answers_are_verified_and_labelled_by_their_pair():
+    # The benchmark's declared case-vi set, seeds 200-250, under both methods.
+    # A pair that fails comp_pair_check at 1e-6 classifies NOT_COMPLEMENTARY,
+    # which has no label.
+    labels = {PairCase.U_ZERO: CaseLabel.CASE_I, PairCase.V_ZERO: CaseLabel.CASE_II,
+              PairCase.GENERAL: CaseLabel.CASE_VI}
+    converged = 0
+    for method, seed in itertools.product(("lm", "newton"), range(200, 251)):
+        prob, rep = _single_start(method, "vi", *_declared_dims(seed), seed)
+        if rep.status is SolveStatus.CONVERGED:
+            converged += 1
+            assert rep.recovered is not None, (method, seed)
+            case, _ = classify_pair(rep.recovered, affine_map(prob, rep.recovered), 1e-6)
+            assert labels.get(case) is rep.case_label, (method, seed, case)
+    assert converged > 40
 
 
 def test_pipeline_positive_norm_instance():

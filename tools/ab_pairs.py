@@ -23,7 +23,12 @@ line count of each checkout (``src_lines``), the line count of the
 ``esoclcp`` modules a fresh ``import esoclcp.cli`` loads from it
 (``cold_path_lines``, also printed before the runs) and the machine's facts,
 so running it once per workload with the same FILE collects every workload
-of one comparison.  Standard library only.
+of one comparison.
+
+Every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves a
+bytecode cache behind, and a checkout that already has
+``src/esoclcp/__pycache__`` is refused: cold runs would read that cache
+instead of compiling the source.  Standard library only.
 """
 
 from __future__ import annotations
@@ -47,10 +52,14 @@ def parse_seeds(text: str) -> list[int]:
     return [int(part) for part in text.split(",")]
 
 
+# The environment of every child: the caller's, without bytecode writing.
+CHILD_ENV = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=checkout, env=CHILD_ENV, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{checkout}: seed {seed} exited {proc.returncode}\n{proc.stderr[-2000:]}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -88,7 +97,7 @@ def cold_path_lines(checkout: Path) -> int:
     """Lines of the esoclcp modules a fresh `import esoclcp.cli` loads."""
     src = (checkout / "src").resolve()
     proc = subprocess.run([sys.executable, "-c", COLD_PATH_PROBE, str(src)],
-                          capture_output=True, text=True, check=True)
+                          env=CHILD_ENV, capture_output=True, text=True, check=True)
     files = [Path(line) for line in proc.stdout.splitlines()]
     stray = [str(path) for path in files if src not in path.resolve().parents]
     if stray:
@@ -142,6 +151,10 @@ def main(argv=None) -> int:
     seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
     metrics = bench["end_to_end"]
     sides = {"parent": args.parent, "change": args.change}
+    caches = [checkout / "src" / "esoclcp" / "__pycache__" for checkout in sides.values()]
+    cached = [str(cache) for cache in caches if cache.exists()]
+    if cached:
+        raise SystemExit(f"bytecode cache present, remove it first: {cached}")
     lines = {"src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
              "cold_path_lines": {side: cold_path_lines(checkout) for side, checkout in sides.items()}}
     for side in sides:
