@@ -45,18 +45,20 @@ def fb_pair(a, b, out=None):
     rad = sqrt(a^2 + b^2); at an exactly degenerate pair both are fixed to
     DEGENERATE_SLOPE so runs stay reproducible.  Every FB system evaluates
     its psi rows here, into out when given, and hands the slopes on to its
-    Jacobian.
+    Jacobian.  Without an exactly degenerate pair (all radii nonzero) the
+    masked rule, which would change no bit there, is skipped.
     """
     rad = np.hypot(a, b)
     psi = np.subtract(rad, a + b, out=out)
-    degenerate = rad == 0.0
-    safe = np.where(degenerate, 1.0, rad)
+    degenerate = None if np.logical_and.reduce(rad) else rad == 0.0
+    safe = rad if degenerate is None else np.where(degenerate, 1.0, rad)
     d_a = a / safe
     d_a -= 1.0
     d_b = b / safe
     d_b -= 1.0
-    d_a[degenerate] = DEGENERATE_SLOPE
-    d_b[degenerate] = DEGENERATE_SLOPE
+    if degenerate is not None:
+        d_a[degenerate] = DEGENERATE_SLOPE
+        d_b[degenerate] = DEGENERATE_SLOPE
     return psi, d_a, d_b
 
 
@@ -114,7 +116,7 @@ class FbKernel:
         z = np.concatenate([xhat + t, u])
         img = self.T @ z + self.r
         y, v = img[:k], img[k:]
-        ety = y.sum()
+        ety = np.add.reduce(y)
         res = np.empty(m + 1)
         _, d_a, d_b = fb_pair(xhat, y, out=res[:k])
         res[k:m] = t * v + u * ety

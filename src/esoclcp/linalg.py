@@ -5,7 +5,9 @@ test-time ground truth for the analytic derivatives, are in `theory`.
 Everything here works on plain float64 numpy arrays.  The wrappers add the
 two guarantees the rest of the package relies on: inputs are finite, and
 nonsingularity is an explicit verdict (SingularMatrix) instead of a warning
-or a silently garbage solve.
+or a silently garbage solve.  Both come from one core, `_factor` (finite
+check, dgetrf, pivot test), which the solvers' Newton/LM step also calls,
+with dgetrs, on the float64 matrix it builds, skipping lu_factor's checks.
 
 The LU calls LAPACK dgetrf/dgetrs from scipy's compiled Fortran extension
 `scipy.linalg._flapack`.  Importing it through `scipy.linalg.lapack` would
@@ -114,6 +116,25 @@ class LuFactors(NamedTuple):
     n: int
 
 
+def _factor(a: np.ndarray, name: str):
+    """dgetrf's (lu, piv) of a nonempty square float64 matrix, raising as
+    lu_factor does; the reductions skip the ndarray methods' wrappers."""
+    # One pass serves the finite check (a NaN or inf reaches the max) and
+    # the scale of the pivot threshold.
+    scale = np.maximum.reduce(np.abs(a), None)
+    if not math.isfinite(scale):
+        raise ValueError(f"{name}: entries must be finite")
+    lu, piv, _ = dgetrf(a)
+    pivot = np.minimum.reduce(np.abs(lu.diagonal()))
+    threshold = PIVOT_RTOL * scale
+    if pivot <= threshold:
+        raise SingularMatrix(
+            f"{name} is singular to working precision "
+            f"(pivot {pivot:.3e} <= {threshold:.3e})"
+        )
+    return lu, piv
+
+
 def lu_factor(m, name: str = "matrix") -> LuFactors:
     """LU-factor a square matrix with partial pivoting (LAPACK dgetrf).
 
@@ -132,19 +153,7 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
         # dgetrf rejects an empty matrix; its factors are empty too.
         lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
     else:
-        # One pass serves the finite check (a NaN or inf reaches the max)
-        # and the scale of the pivot threshold.
-        scale = np.abs(a).max()
-        if not math.isfinite(scale):
-            raise ValueError(f"{name}: entries must be finite")
-        lu, piv, _ = dgetrf(a)
-        pivot = np.abs(lu.diagonal()).min()
-        threshold = PIVOT_RTOL * scale
-        if pivot <= threshold:
-            raise SingularMatrix(
-                f"{name} is singular to working precision "
-                f"(pivot {pivot:.3e} <= {threshold:.3e})"
-            )
+        lu, piv = _factor(a, name)
     lu.setflags(write=False)
     piv.setflags(write=False)
     return LuFactors(lu, piv, n)

@@ -42,7 +42,7 @@ from .fbsystem import FbKernel, diagonal_terms, fb_pair
 # Not called here, but kept bound in this namespace, where per-layer tracing
 # (perfbench/tracer.py) looks up the package's layers.
 from .fbsystem import certify_solution, fb_jacobian, fb_residual, psi_fb  # noqa: F401
-from .linalg import lu_factor, lu_solve
+from .linalg import _factor, dgetrs, lu_factor, lu_solve
 from .reformulation import (
     AugmentedPoint,
     LcpProblem,
@@ -157,12 +157,20 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     takes to build the Jacobian at the same point.  x is never changed in
     place, so the best iterate is kept by reference.  The running minimum
     of the residual norm is best_norm, which the divergence guard uses.
+
+    A step factors J or J^T J + mu I with linalg._factor and solves with
+    dgetrs: lu_solve(lu_factor(...))'s bits without its per-call checks.
+    A NaN or inf in a residual (the initial one too) or step matrix ends
+    the run Diverged, a failed pivot test SingularJacobian.
     """
     x = np.array(x0, dtype=float)
     res, aux = res_fn(x)
-    norm = float(np.abs(res).max())
+    # One pass: a NaN or inf entry makes the max non-finite.
+    norm = float(np.maximum.reduce(np.abs(res)))
     history = [norm]
     best_x, best_norm = x, norm
+    if not math.isfinite(norm):
+        return _RawSolve(SolveStatus.DIVERGED, x, norm, 0, history)
     k = 0
     newton = opts.method == "newton"
     damping = None if newton else opts.mu * np.eye(x.size)
@@ -174,16 +182,19 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
         jac = jac_fn(x, aux)
         try:
             if newton:
-                d = lu_solve(lu_factor(jac, name="jacobian"), -res)
+                lu, piv = _factor(jac, "jacobian")
+                rhs = -res
             else:
-                normal = jac.T @ jac + damping
-                d = lu_solve(lu_factor(normal, name="normal matrix"), -(jac.T @ res))
+                lu, piv = _factor(jac.T @ jac + damping, "normal matrix")
+                rhs = -(jac.T @ res)
         except SingularMatrix:
             return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
+        except ValueError:
+            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+        d, _ = dgetrs(lu, piv, rhs)
         x = x + d
         res, aux = res_fn(x)
-        # One pass: a NaN or inf entry makes the max non-finite.
-        norm = float(np.abs(res).max())
+        norm = float(np.maximum.reduce(np.abs(res)))
         if not math.isfinite(norm):
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
         k += 1

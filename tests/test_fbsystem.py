@@ -294,6 +294,21 @@ def test_fb_pair_slopes_and_degenerate_rule():
     assert np.array_equal(psi, psi_fb(a, b))
     assert np.array_equal(d_a, np.array([3.0 / 5.0 - 1.0, -1.0, -2.0, DEGENERATE_SLOPE]))
     assert np.array_equal(d_b, np.array([4.0 / 5.0 - 1.0, 0.0, -1.0, DEGENERATE_SLOPE]))
+    # Without a degenerate pair fb_pair skips the masked rule; on no, some
+    # and only degenerate pairs it gives the rule's bits.
+    rng = np.random.default_rng(113)
+    a, b = rng.uniform(-2.0, 2.0, (2, 9))
+    index = np.arange(9)
+    for degenerate in (index < 0, index % 3 == 0, index >= 0):
+        a_d = np.where(degenerate, np.where(index % 2 == 0, 0.0, -0.0), a)
+        b_d = np.where(degenerate, 0.0, b)
+        rad = np.hypot(a_d, b_d)
+        safe = np.where(degenerate, 1.0, rad)
+        want = [rad - (a_d + b_d)] + [np.where(degenerate, DEGENERATE_SLOPE, v / safe - 1.0) for v in (a_d, b_d)]
+        out = np.empty(9)
+        got = fb_pair(a_d, b_d, out=out)
+        assert got[0] is out
+        assert [v.tobytes() for v in got] == [v.tobytes() for v in want], degenerate
 
 
 def test_reduced_jacobians_match_finite_differences():

@@ -83,10 +83,25 @@ def test_lu_factor_rejects_singular():
         lu_factor(sing)
 
 
+def _same_error(m, name, error):
+    # The solvers' step factors through linalg._factor: it must raise what
+    # lu_factor raises, with the same message.
+    with pytest.raises(error) as boundary:
+        lu_factor(m, name=name)
+    with pytest.raises(error) as core:
+        linalg._factor(m, name)
+    assert str(core.value) == str(boundary.value)
+    return str(boundary.value)
+
+
 def test_lu_factor_error_carries_name():
     with pytest.raises(SingularMatrix) as exc:
         lu_factor(np.zeros((2, 2)), name="A block")
     assert "A block" in str(exc.value)
+    # A pivot 1e-13 times the largest entry fails the test only after dgetrf.
+    nearly = np.array([[1.0, 2.0, 0.0], [2.0, 4.0 + 2e-13, 0.0], [0.0, 0.0, 1.0]])
+    for m in (np.zeros((2, 2)), nearly):
+        assert "jacobian is singular" in _same_error(m, "jacobian", SingularMatrix)
 
 
 def test_lu_factor_rejects_nonsquare():
@@ -159,7 +174,7 @@ def test_fd_jacobian_rejects_bad_step():
 
 def test_lu_factor_matches_scipy_and_is_read_only():
     rng = np.random.default_rng(107)
-    for n in range(9):
+    for n in range(12):
         m = rng.uniform(-3.0, 3.0, (n, n))
         f = lu_factor(m)
         lu, piv = scipy.linalg.lu_factor(m)
@@ -167,6 +182,11 @@ def test_lu_factor_matches_scipy_and_is_read_only():
         b = rng.uniform(-3.0, 3.0, n)
         assert np.array_equal(lu_solve(f, b), scipy.linalg.lu_solve((lu, piv), b)), f"n={n}"
         assert not f.lu.flags.writeable and not f.piv.flags.writeable
+        if n:
+            # The solvers' step: the pivot core, then dgetrs, same bits.
+            core_lu, core_piv = linalg._factor(m, "matrix")
+            assert core_lu.tobytes() == f.lu.tobytes() and core_piv.tobytes() == f.piv.tobytes(), f"n={n}"
+            assert linalg.dgetrs(core_lu, core_piv, -b)[0].tobytes() == lu_solve(f, -b).tobytes(), f"n={n}"
 
 
 def test_lu_factor_rejects_non_finite_entries_by_name():
@@ -175,6 +195,7 @@ def test_lu_factor_rejects_non_finite_entries_by_name():
         m[1, 2] = bad
         with pytest.raises(ValueError, match="normal matrix"):
             lu_factor(m, name="normal matrix")
+        assert _same_error(m, "normal matrix", ValueError) == "normal matrix: entries must be finite"
 
 
 def test_lu_factor_rejects_wrong_shapes():

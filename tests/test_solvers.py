@@ -116,6 +116,28 @@ def test_singular_jacobian_detected(example):
     assert not rep.certified
 
 
+# At t = 1e153 the residual is finite but J'J overflows; at t = 1e154 the
+# residual itself is inf.  Either ends the run at its start instead of
+# raising, and the pipeline goes on to its other starts.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("t, method, status", [
+    (1e153, "lm", SolveStatus.DIVERGED),
+    (1e153, "newton", SolveStatus.SINGULAR_JACOBIAN),
+    (1e154, "lm", SolveStatus.DIVERGED),
+    (1e154, "newton", SolveStatus.DIVERGED),
+])
+def test_overflowing_start_ends_the_run(example, t, method, status):
+    start = AugmentedPoint(np.ones(3), np.ones(2), t)
+    opts = SolverOptions(method=method, start=start)
+    rep = (newton_solve if method == "newton" else lm_solve)(example, opts)
+    assert (rep.status, rep.iterations, len(rep.residual_history)) == (status, 0, 1)
+    assert rep.residual_norm == rep.residual_history[0]
+    assert rep.recovered is None and not rep.certified
+    pipeline = solve_esoclcp(example, opts)
+    assert pipeline.status is SolveStatus.CONVERGED
+    assert comp_pair_check(pipeline.recovered, affine_map(example, pipeline.recovered), 1e-6)
+
+
 def test_max_iter_reports_best_point(example):
     rep = lm_solve(example, SolverOptions(max_iter=1))
     assert rep.status is SolveStatus.MAX_ITER
