@@ -8,9 +8,8 @@ square system of size m + 1 whose zeros are the augmented solutions.
 FbKernel evaluates that system on raw arrays for the solvers' inner loop;
 fb_residual and fb_jacobian are its validating entry points, and
 certify_solution is the regularity certificate an answer must pass.
-fb_pair also serves the solvers' one other FB system, that of the orthant
-LCP both reduced branches solve above ENUM_MAX_K.  The merit and the full
-regularity test, which asks s0_check for its advisory, are in `theory`.
+The merit and the full regularity test, which asks s0_check for its
+advisory, are in `theory`.
 """
 
 from __future__ import annotations
@@ -43,8 +42,8 @@ def fb_pair(a, b, out=None):
 
     The slopes are d_a = a/rad - 1 and d_b = b/rad - 1 with
     rad = sqrt(a^2 + b^2); at an exactly degenerate pair both are fixed to
-    DEGENERATE_SLOPE so runs stay reproducible.  Every FB system evaluates
-    its psi rows here, into out when given, and hands the slopes on to its
+    DEGENERATE_SLOPE so runs stay reproducible.  FbKernel evaluates its psi
+    rows here, into out when given, and hands the slopes on to its
     Jacobian.  Without an exactly degenerate pair (all radii nonzero) the
     masked rule, which would change no bit there, is skipped.
     """

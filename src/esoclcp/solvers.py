@@ -14,10 +14,10 @@ augmented smooth system (multi-start), then those of the two degenerate
 branches.  Both branches are plain orthant LCPs in k variables: u = 0
 leaves LCP(A, p), and v = 0, once u = -D^-1 (C x + q) is eliminated,
 leaves LCP(A - B D^-1 C, p - B D^-1 q).  One path finds the roots of
-either: up to k = ENUM_MAX_K it enumerates the complementary supports
-(lcp_roots); above it, it runs the Newton/LM multistart on the orthant FB
-system.  Every candidate is accepted only after the independent
-complementarity checks pass.
+either, exactly: it enumerates the complementary supports (lcp_roots).
+It runs up to k = ENUM_MAX_K; above it the branches are not searched.
+Every candidate is accepted only after the independent complementarity
+checks pass.
 
 newton_solve and lm_solve run the augmented system from opts.start alone
 and accept through the same loop: an answer is labelled by the shape of
@@ -37,7 +37,7 @@ import numpy as np
 
 from .cones import PairCase, PointZ, classify_pair, comp_pair_check
 from .errors import EsoclcpError, SingularMatrix
-from .fbsystem import FbKernel, diagonal_terms, fb_pair
+from .fbsystem import FbKernel
 
 # Not called here, but kept bound in this namespace, where per-layer tracing
 # (perfbench/tracer.py) looks up the package's layers.
@@ -59,11 +59,13 @@ DIVERGENCE_FACTOR = 1e6
 # also needs t above it.
 ACCEPT_TOL = 1e-6
 
-# Largest k whose reduced branches enumerate all 2^k supports; above it they
-# keep the Newton/LM multistart.  Enumerating both branches in full took 0.6
-# times as long as the 9 x 200 augmented iterations that run before them at
-# k = 10 and as long at k = 11 (random instances, l = 1 and 5).
-ENUM_MAX_K = 10
+# Largest k whose reduced branches are searched, each by enumerating all 2^k
+# supports of its LCP; above it they are not searched.  The solve-rate set
+# declared for large k (k 11-13) ends here.  The worst case is a problem
+# with no accepted root, where both branches are enumerated in full: at
+# k = 13 that took about 0.7 s, 5 times the augmented starts that run
+# before them, and each k above doubles it (random instances, l 1-4).
+ENUM_MAX_K = 13
 
 # Sign tolerance of an enumerated root: x and M x + q may dip this far
 # below zero, relative to 1 + their largest entry.
@@ -161,48 +163,51 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     A step factors J or J^T J + mu I with linalg._factor and solves with
     dgetrs: lu_solve(lu_factor(...))'s bits without its per-call checks.
     A NaN or inf in a residual (the initial one too) or step matrix ends
-    the run Diverged, a failed pivot test SingularJacobian.
+    the run Diverged, a failed pivot test SingularJacobian.  The run
+    ignores numpy's overflow and invalid-value warnings, whose cause its
+    status already reports.
     """
-    x = np.array(x0, dtype=float)
-    res, aux = res_fn(x)
-    # One pass: a NaN or inf entry makes the max non-finite.
-    norm = float(np.maximum.reduce(np.abs(res)))
-    history = [norm]
-    best_x, best_norm = x, norm
-    if not math.isfinite(norm):
-        return _RawSolve(SolveStatus.DIVERGED, x, norm, 0, history)
-    k = 0
-    newton = opts.method == "newton"
-    damping = None if newton else opts.mu * np.eye(x.size)
-    while True:
-        if norm <= opts.residual_tol:
-            return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history)
-        if k >= opts.max_iter:
-            return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
-        jac = jac_fn(x, aux)
-        try:
-            if newton:
-                lu, piv = _factor(jac, "jacobian")
-                rhs = -res
-            else:
-                lu, piv = _factor(jac.T @ jac + damping, "normal matrix")
-                rhs = -(jac.T @ res)
-        except SingularMatrix:
-            return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
-        except ValueError:
-            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
-        d, _ = dgetrs(lu, piv, rhs)
-        x = x + d
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.array(x0, dtype=float)
         res, aux = res_fn(x)
+        # One pass: a NaN or inf entry makes the max non-finite.
         norm = float(np.maximum.reduce(np.abs(res)))
+        history = [norm]
+        best_x, best_norm = x, norm
         if not math.isfinite(norm):
-            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
-        k += 1
-        history.append(norm)
-        if norm < best_norm:
-            best_x, best_norm = x, norm
-        elif norm > DIVERGENCE_FACTOR * best_norm:
-            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+            return _RawSolve(SolveStatus.DIVERGED, x, norm, 0, history)
+        k = 0
+        newton = opts.method == "newton"
+        damping = None if newton else opts.mu * np.eye(x.size)
+        while True:
+            if norm <= opts.residual_tol:
+                return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history)
+            if k >= opts.max_iter:
+                return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
+            jac = jac_fn(x, aux)
+            try:
+                if newton:
+                    lu, piv = _factor(jac, "jacobian")
+                    rhs = -res
+                else:
+                    lu, piv = _factor(jac.T @ jac + damping, "normal matrix")
+                    rhs = -(jac.T @ res)
+            except SingularMatrix:
+                return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
+            except ValueError:
+                return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+            d, _ = dgetrs(lu, piv, rhs)
+            x = x + d
+            res, aux = res_fn(x)
+            norm = float(np.maximum.reduce(np.abs(res)))
+            if not math.isfinite(norm):
+                return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+            k += 1
+            history.append(norm)
+            if norm < best_norm:
+                best_x, best_norm = x, norm
+            elif norm > DIVERGENCE_FACTOR * best_norm:
+                return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
 
 
 def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
@@ -231,24 +236,6 @@ def lm_solve(prob: LcpProblem, opts: SolverOptions) -> SolveReport:
     return _first_answer(prob, opts, [_resolve_start(opts, prob)])
 
 
-def _orthant_system(A: np.ndarray, p: np.ndarray):
-    k = A.shape[0]
-    diag, diag_d_a = diagonal_terms(k, k, k)
-
-    def res_fn(x):
-        psi, d_a, d_b = fb_pair(x, A @ x + p)
-        return psi, (d_a, d_b)
-
-    def jac_fn(x, aux):
-        d_a, d_b = aux
-        jac = d_b[:, None] * A
-        diag_d_a[:] = d_a
-        jac += diag
-        return jac
-
-    return res_fn, jac_fn
-
-
 def lcp_roots(M: np.ndarray, q: np.ndarray):
     """Yield every solution of LCP(M, q): x >= 0, M x + q >= 0, x'(M x + q) = 0.
 
@@ -273,32 +260,6 @@ def lcp_roots(M: np.ndarray, q: np.ndarray):
             w = M @ x + q
             if min(x.min(), w.min()) >= -ENUM_RTOL * (1.0 + max(np.abs(x).max(), np.abs(w).max())):
                 yield x
-
-
-def _orthant_roots(M: np.ndarray, r: np.ndarray, opts: SolverOptions):
-    """Yield (x, raw) for the roots of LCP(M, r) that a reduced branch tries.
-
-    Up to k = ENUM_MAX_K these are every root lcp_roots finds, with raw
-    None.  Above it they are the distinct converged roots of the FB
-    multistart from the all-ones start, each with its run as raw.  The
-    branches can have several roots of which only some extend to cone
-    solutions, so every distinct one is worth case-checking.
-    """
-    k = r.shape[0]
-    if k <= ENUM_MAX_K:
-        for x in lcp_roots(M, r):
-            yield x, None
-        return
-    res_fn, jac_fn = _orthant_system(M, r)
-    found: list[np.ndarray] = []
-    for start in _starts(np.ones(k), opts, [(0.0, 1.0, k)]):
-        raw = _iterate(res_fn, jac_fn, start, opts)
-        if raw.status is not SolveStatus.CONVERGED:
-            continue
-        if any(np.abs(raw.x - x).max() <= 1e-8 * (1.0 + np.abs(x).max()) for x in found):
-            continue
-        found.append(raw.x)
-        yield raw.x, raw
 
 
 # Case label of an augmented-branch answer, by the shape of its pair.
@@ -339,16 +300,13 @@ def _unsolved(prob: LcpProblem, raw: _RawSolve) -> SolveReport:
     return SolveReport(status, point, raw.norm, raw.iterations, raw.history)
 
 
-def _starts(first: np.ndarray, opts: SolverOptions, bounds):
-    """first, then num_random_starts seeded starts, drawn lazily.
-
-    Each seeded start joins one uniform draw per (low, high, size) of
-    bounds, in order; every branch restarts the generator at rng_seed.
-    """
+def _starts(first: np.ndarray, opts: SolverOptions, dims):
+    """first, then num_random_starts seeded starts, drawn lazily from
+    [0,1]^k x [-1,1]^l x [0.5, 1.5] by a generator seeded with rng_seed."""
     yield first
     rng = np.random.default_rng(opts.rng_seed)
     for _ in range(opts.num_random_starts):
-        yield np.concatenate([rng.uniform(low, high, size) for low, high, size in bounds])
+        yield np.concatenate([rng.uniform(0.0, 1.0, dims.k), rng.uniform(-1.0, 1.0, dims.l), rng.uniform(0.5, 1.5, 1)])
 
 
 def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKernel, starts, runs: list):
@@ -370,30 +328,32 @@ def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKerne
             yield raw, point, _PAIR_LABEL[case], z
 
 
-def _reduced_candidates(prob: LcpProblem, opts: SolverOptions):
-    """Yield (raw, point, label, z) for each root of the u = 0 branch
+def _reduced_candidates(prob: LcpProblem):
+    """Yield (None, point, label, z) for each root of the u = 0 branch
     (CASE_I), then of the v = 0 branch (CASE_II), that passes its case
-    check and the pair check.
+    check and the pair check; nothing when k > ENUM_MAX_K.
 
     The branches solve LCP(A, p), and LCP(A - B D^-1 C, p - B D^-1 q) with
-    u = -D^-1 (C x + q), through _orthant_roots.  D is factored once, when
-    the v = 0 branch starts; a singular D ends it.
+    u = -D^-1 (C x + q), through lcp_roots.  D is factored once, when the
+    v = 0 branch starts; a singular D ends it.
     """
+    if prob.dims.k > ENUM_MAX_K:
+        return
     l = prob.dims.l
     A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
-    for x, raw in _orthant_roots(A, p, opts):
+    for x in lcp_roots(A, p):
         z = PointZ(x, np.zeros(l))
         if case_i_check(prob, x, ACCEPT_TOL) and _verified(prob, z):
-            yield raw, AugmentedPoint(x, z.u, 0.0), CaseLabel.CASE_I, z
+            yield None, AugmentedPoint(x, z.u, 0.0), CaseLabel.CASE_I, z
     try:
         lu_D = lu_factor(D, name="D")
     except SingularMatrix:
         return
-    for x, raw in _orthant_roots(A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q), opts):
+    for x in lcp_roots(A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q)):
         z = PointZ(x, -lu_solve(lu_D, C @ x + q))
         if case_ii_check(prob, z, ACCEPT_TOL) and _verified(prob, z):
             t = float(np.linalg.norm(z.u))
-            yield raw, AugmentedPoint(x - t, z.u, t), CaseLabel.CASE_II, z
+            yield None, AugmentedPoint(x - t, z.u, t), CaseLabel.CASE_II, z
 
 
 def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> SolveReport:
@@ -416,9 +376,9 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
     One loop takes the candidates of the augmented smooth system, from the
     default start and num_random_starts seeded extra starts, then those of
     the u = 0 and v = 0 branches (_reduced_candidates), and returns the
-    first whose augmented residual passes the tolerance.  Up to
-    k = ENUM_MAX_K the reduced roots are exact and their answers report 0
-    iterations.  An augmented answer is labelled by the shape of its pair
+    first whose augmented residual passes the tolerance.  The reduced roots
+    are exact, so their answers report 0 iterations; above k = ENUM_MAX_K
+    the branches are not searched.  An augmented answer is labelled by the shape of its pair
     (classify_pair), so one whose image has a zero norm block is CASE_II.
     When nothing is accepted, the report describes the best augmented run;
     a run that converged to an invalid point (t <= 0 or failed
@@ -426,6 +386,5 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
     """
     if opts is None:
         opts = SolverOptions()
-    k, l = prob.dims.k, prob.dims.l
-    starts = _starts(_resolve_start(opts, prob), opts, [(0.0, 1.0, k), (-1.0, 1.0, l), (0.5, 1.5, 1)])
-    return _first_answer(prob, opts, starts, _reduced_candidates(prob, opts))
+    starts = _starts(_resolve_start(opts, prob), opts, prob.dims)
+    return _first_answer(prob, opts, starts, _reduced_candidates(prob))

@@ -1,7 +1,5 @@
 """Fischer-Burmeister residual, Jacobian, merit, index sets, regularity."""
 
-import itertools
-
 import numpy as np
 import pytest
 
@@ -32,7 +30,6 @@ from esoclcp import (
     stationarity_check,
 )
 from esoclcp.fbsystem import DEGENERATE_SLOPE, FbKernel, fb_pair
-from esoclcp.solvers import _orthant_system
 from conftest import random_problem
 
 
@@ -311,21 +308,6 @@ def test_fb_pair_slopes_and_degenerate_rule():
         assert [v.tobytes() for v in got] == [v.tobytes() for v in want], degenerate
 
 
-def test_reduced_jacobians_match_finite_differences():
-    rng = np.random.default_rng(103)
-    for trial in range(20):
-        k = int(rng.integers(1, 6))
-        l = int(rng.integers(1, 6))
-        prob = random_problem(rng, k, l)
-        res_fn, jac_fn = _orthant_system(prob.A, prob.p)
-        at = rng.uniform(-1.0, 1.0, k)
-        res, aux = res_fn(at)
-        analytic = jac_fn(at, aux)
-        numeric = fd_jacobian(lambda v: res_fn(v)[0], at)
-        err = np.abs(analytic - numeric).max() / (1.0 + np.abs(analytic).max())
-        assert err <= 1e-6, f"trial {trial} k={k}: mismatch {err:.3e}"
-
-
 def test_certify_solution_is_the_regular_verdict(example):
     # certify_solution decides the Regular branch directly; it must agree
     # with the full verdict, a SingularMatrix from it counting as False.
@@ -357,36 +339,6 @@ def _same_bits(a, b):
     # Bitwise: unlike array_equal, tells -0.0 from +0.0.
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_reduced_systems_match_reference_bit_for_bit():
-    # pinned makes row 0 of T pick x_0 with r_0 = 0, so x_0 = 0 gives the
-    # degenerate pair (0, 0).  A zero x_i with a positive partner gives
-    # d_b = +0.0 and so -0.0 products, which the diagonal terms must turn
-    # into +0.0, as np.diag does.
-    rng = np.random.default_rng(109)
-    for k, l, pinned in itertools.product(range(1, 5), range(1, 4), (False, True)):
-        T = rng.uniform(-5.0, 5.0, (k + l, k + l))
-        r = rng.uniform(-5.0, 5.0, k + l)
-        if pinned:
-            T[0] = 0.0
-            T[0, 0] = 1.0
-            r[0] = 0.0
-        prob = LcpProblem(EsocDims(k, l), T, r, allow_singular=True)
-        A, p = prob.A, prob.p
-        for trial in range(4):
-            z = rng.uniform(-1.0, 1.0, k + l)
-            if pinned or trial % 2:
-                z[0] = 0.0
-            x = z[:k]
-
-            res_fn, jac_fn = _orthant_system(A, p)
-            psi, d_a, d_b = _reference_slopes(x, A @ x + p)
-            res, aux = res_fn(x)
-            assert _same_bits(res, psi), f"k={k} l={l} trial {trial}"
-            assert _same_bits(jac_fn(x, aux), np.diag(d_a) + d_b[:, None] * A), f"k={k} l={l} trial {trial}"
-            if pinned:
-                assert d_a[0] == DEGENERATE_SLOPE
 
 
 def test_kernel_matches_reference_bit_for_bit_with_zeros():

@@ -118,8 +118,9 @@ def test_singular_jacobian_detected(example):
 
 # At t = 1e153 the residual is finite but J'J overflows; at t = 1e154 the
 # residual itself is inf.  Either ends the run at its start instead of
-# raising, and the pipeline goes on to its other starts.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+# raising, and the pipeline goes on to its other starts.  Neither writes a
+# warning: the run's status reports the overflow.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("t, method, status", [
     (1e153, "lm", SolveStatus.DIVERGED),
     (1e153, "newton", SolveStatus.SINGULAR_JACOBIAN),
@@ -418,27 +419,38 @@ def test_enumeration_up_to_enum_max_k():
     assert case_i_check(inst.problem, rep.recovered.x, 1e-6)
 
 
-def test_newton_multistart_above_enum_max_k():
-    # Above ENUM_MAX_K the u = 0 branch keeps the FB multistart, whose
-    # answer reports the iterations of the run that found it.
-    inst = make_instance("i", ENUM_MAX_K + 1, 2, 4)
+@pytest.mark.parametrize("case, k, l, seed", [
+    ("ii", 11, 2, 4),
+    ("ii", 12, 1, 3),
+    ("ii", 12, 2, 7),
+    ("i", 11, 1, 0),
+    ("i", 12, 1, 2),
+])
+def test_enumeration_answers_planted_instances_at_k_11_and_12(case, k, l, seed):
+    # The augmented starts miss these; the reduced branches' enumeration
+    # answers them, with 0 iterations.  A case-ii instance may be answered
+    # CASE_I, where a u = 0 root exists.
+    inst = make_instance(case, k, l, seed)
     rep = solve_esoclcp(inst.problem)
-    assert (rep.status, rep.case_label) == (SolveStatus.CONVERGED, CaseLabel.CASE_I)
-    assert rep.iterations > 0
-    assert len(rep.residual_history) == rep.iterations + 1
-    assert case_i_check(inst.problem, rep.recovered.x, 1e-6)
+    assert (rep.status, rep.iterations) == (SolveStatus.CONVERGED, 0)
+    assert comp_pair_check(rep.recovered, affine_map(inst.problem, rep.recovered), 1e-6)
 
 
-def test_zero_image_branch_above_enum_max_k():
-    # Above ENUM_MAX_K the v = 0 branch runs the FB multistart on the
-    # reduced LCP; here it finds a root that extends to a case-ii solution.
-    inst = make_instance("ii", ENUM_MAX_K + 1, 3, 1)
-    found = [(raw, z) for raw, _, label, z in solvers._reduced_candidates(inst.problem, SolverOptions())
+def test_zero_image_branch_enumerates_at_k_11():
+    inst = make_instance("ii", 11, 3, 1)
+    found = [(raw, z) for raw, _, label, z in solvers._reduced_candidates(inst.problem)
              if label is CaseLabel.CASE_II]
     assert found
     raw, z = found[0]
-    assert raw.iterations > 0
+    assert raw is None
     assert case_ii_check(inst.problem, z, 1e-6)
+
+
+def test_reduced_branches_not_searched_above_enum_max_k(monkeypatch):
+    calls = _spy_lu_factor(monkeypatch)
+    inst = make_instance("i", ENUM_MAX_K + 1, 1, 0)
+    assert list(solvers._reduced_candidates(inst.problem)) == []
+    assert calls == []
 
 
 def test_singular_d_ends_zero_image_branch_quietly(monkeypatch):
