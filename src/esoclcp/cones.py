@@ -17,45 +17,43 @@ accepted at lhs >= rhs - tol*(1 + scale).  Exact arithmetic corresponds to
 tol = 0; the default is 1e-9.
 """
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import DimensionMismatch
 from .linalg import as_vector
+from .record import Record, ValueRecord
 
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class EsocDims:
+class EsocDims(ValueRecord):
     """Problem dimensions: k orthant coordinates, l norm coordinates."""
 
-    k: int
-    l: int
+    __slots__ = ("k", "l")
 
-    def __post_init__(self):
-        if self.k < 1 or self.l < 1:
+    def __init__(self, k: int, l: int):
+        if k < 1 or l < 1:
             # the cone needs both parts; the pure orthant case is served by
             # the reduced solver in `solvers`, not by l = 0
-            raise ValueError(f"dims must satisfy k >= 1 and l >= 1, got k={self.k}, l={self.l}")
+            raise ValueError(f"dims must satisfy k >= 1 and l >= 1, got k={k}, l={l}")
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "l", l)
 
     @property
     def m(self) -> int:
         return self.k + self.l
 
 
-@dataclass(frozen=True, eq=False)
-class PointZ:
+class PointZ(Record):
     """A point z = (x, u) split into orthant part x and norm part u."""
 
-    x: np.ndarray
-    u: np.ndarray
+    __slots__ = ("x", "u")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", as_vector(self.x, "x"))
-        object.__setattr__(self, "u", as_vector(self.u, "u"))
+    def __init__(self, x: np.ndarray, u: np.ndarray):
+        object.__setattr__(self, "x", as_vector(x, "x"))
+        object.__setattr__(self, "u", as_vector(u, "u"))
         self.x.setflags(write=False)
         self.u.setflags(write=False)
 
@@ -81,20 +79,20 @@ class PairCase(str, Enum):
     NOT_COMPLEMENTARY = "NOT_COMPLEMENTARY"
 
 
-@dataclass(frozen=True)
-class CertificateIII:
+class CertificateIII(ValueRecord):
     """General-case certificate: the multiplier with v = -lambda*u and the
     largest residual among v + lambda*u = 0, e'y = ||v||, and
     (x - ||u||e, y) complementary on the orthant."""
 
-    lambda_: float
-    max_violation: float
+    __slots__ = ("lambda_", "max_violation")
 
-    def __post_init__(self):
-        if not self.lambda_ > 0:
-            raise ValueError(f"lambda must be positive, got {self.lambda_}")
-        if self.max_violation < 0:
+    def __init__(self, lambda_: float, max_violation: float):
+        if not lambda_ > 0:
+            raise ValueError(f"lambda must be positive, got {lambda_}")
+        if max_violation < 0:
             raise ValueError("max_violation must be non-negative")
+        object.__setattr__(self, "lambda_", lambda_)
+        object.__setattr__(self, "max_violation", max_violation)
 
 
 def _check_same_dims(z: PointZ, w: PointZ):

@@ -3,10 +3,11 @@
 Files are JSON, written by a hand-rolled emitter so output is byte-stable:
 fixed key order, fixed layout (matrix rows one per line, scalar lists
 inline), floats printed with 17 significant digits so every double
-round-trips exactly, and no timestamps or environment echoes.  Parsing
-uses the stdlib JSON reader, loaded only then and to quote a comment, and
-checks field types and shapes on the way in: k and l are JSON integers, T
-equal-length rows of numbers, and r, x and u lists of numbers.
+round-trips exactly (inf and nan as the reader's Infinity, -Infinity and
+NaN), and no timestamps or environment echoes.  Parsing uses the stdlib
+JSON reader, loaded only then and to quote a comment, and checks field
+types and shapes on the way in: k and l are JSON integers, T equal-length
+rows of numbers, and r, x and u lists of numbers.
 """
 
 from __future__ import annotations
@@ -18,8 +19,13 @@ from .reformulation import LcpProblem
 from .solvers import SolveReport, SolverOptions
 
 
+# The stdlib reader's tokens for the floats JSON has no literal for.
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
 def _fnum(v) -> str:
-    return format(float(v), ".17g")
+    text = format(float(v), ".17g")
+    return _NONFINITE.get(text, text)
 
 
 def _flist(vals) -> str:

@@ -10,12 +10,11 @@ unconditioned and has none.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .cones import EsocDims, PointZ
 from .errors import SingularMatrix
+from .record import Record
 from .reformulation import LcpProblem
 
 # Matrix entries are drawn uniformly from this range, matching the scale of
@@ -56,13 +55,15 @@ def example_problem() -> LcpProblem:
     return LcpProblem(EsocDims(3, 2), np.array(T), np.array(r))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratedInstance:
+class GeneratedInstance(Record):
     """A generated problem plus its constructed solution, when one exists."""
 
-    problem: LcpProblem
-    solution: PointZ | None
-    case: str
+    __slots__ = ("problem", "solution", "case")
+
+    def __init__(self, problem: LcpProblem, solution: PointZ | None, case: str):
+        object.__setattr__(self, "problem", problem)
+        object.__setattr__(self, "solution", solution)
+        object.__setattr__(self, "case", case)
 
 
 def _draw_problem(rng: np.random.Generator, k: int, l: int) -> LcpProblem:

@@ -18,18 +18,15 @@ its Jacobian blocks and the implicit form are in `theory`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-
 import numpy as np
 
 from .cones import EsocDims, PointZ, orthant_comp_violation
 from .errors import DegenerateT, InfeasibleXhat
 from .linalg import LuFactors, as_matrix, as_vector, lu_factor
+from .record import Record
 
 
-@dataclass(frozen=True, eq=False)
-class LcpProblem:
+class LcpProblem(Record):
     """Immutable problem data (T, r) together with its block partition.
 
     By default T and its diagonal blocks A and D must be nonsingular; pass
@@ -37,22 +34,21 @@ class LcpProblem:
     factorization will still raise when they hit one).
     """
 
-    dims: EsocDims
-    T: np.ndarray
-    r: np.ndarray
-    allow_singular: bool = field(default=False)
+    __slots__ = ("dims", "T", "r", "allow_singular", "_lu_A")
 
-    def __post_init__(self):
-        m = self.dims.m
-        T = as_matrix(self.T, "T")
-        r = as_vector(self.r, "r")
+    def __init__(self, dims: EsocDims, T: np.ndarray, r: np.ndarray, allow_singular: bool = False):
+        m = dims.m
+        T = as_matrix(T, "T")
+        r = as_vector(r, "r")
         if T.shape != (m, m):
-            raise ValueError(f"T must be {m}x{m} for dims {self.dims}, got {T.shape}")
+            raise ValueError(f"T must be {m}x{m} for dims {dims}, got {T.shape}")
         if r.shape != (m,):
             raise ValueError(f"r must have length {m}, got {r.shape}")
+        object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "T", T)
         object.__setattr__(self, "r", r)
-        if not self.allow_singular:
+        object.__setattr__(self, "allow_singular", allow_singular)
+        if not allow_singular:
             lu_factor(T, name="T")
             self.lu_A  # factors A once; the factors stay cached
             lu_factor(self.D, name="D")
@@ -85,10 +81,14 @@ class LcpProblem:
     def q(self) -> np.ndarray:
         return self.r[self.dims.k :]
 
-    @cached_property
+    @property
     def lu_A(self) -> LuFactors:
         """Cached factorization of the orthant block A."""
-        return lu_factor(self.A, name="A")
+        try:
+            return self._lu_A
+        except AttributeError:  # the slot is set on the first success
+            object.__setattr__(self, "_lu_A", lu_factor(self.A, name="A"))
+            return self._lu_A
 
     @classmethod
     def from_blocks(cls, A, B, C, D, p, q, allow_singular: bool = False) -> "LcpProblem":
@@ -103,18 +103,15 @@ class LcpProblem:
         return cls(EsocDims(k, l), T, r, allow_singular=allow_singular)
 
 
-@dataclass(frozen=True, eq=False)
-class AugmentedPoint:
+class AugmentedPoint(Record):
     """Augmented variable w = (xhat, u, t) with t standing for ||u||."""
 
-    xhat: np.ndarray
-    u: np.ndarray
-    t: float
+    __slots__ = ("xhat", "u", "t")
 
-    def __post_init__(self):
-        object.__setattr__(self, "xhat", as_vector(self.xhat, "xhat"))
-        object.__setattr__(self, "u", as_vector(self.u, "u"))
-        object.__setattr__(self, "t", float(self.t))
+    def __init__(self, xhat: np.ndarray, u: np.ndarray, t: float):
+        object.__setattr__(self, "xhat", as_vector(xhat, "xhat"))
+        object.__setattr__(self, "u", as_vector(u, "u"))
+        object.__setattr__(self, "t", float(t))
 
     @property
     def dims(self) -> EsocDims:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -51,6 +50,7 @@ from .reformulation import (
     case_ii_check,
     recover_solution,
 )
+from .record import Record, ValueRecord
 
 # Residual growth factor over the running minimum that aborts a run.
 DIVERGENCE_FACTOR = 1e6
@@ -85,8 +85,7 @@ class CaseLabel(str, Enum):
     CASE_VI = "CASE_VI"
 
 
-@dataclass(frozen=True)
-class SolverOptions:
+class SolverOptions(ValueRecord):
     """Knobs shared by every iteration in the package.
 
     start may be an AugmentedPoint or None, the default start: ones for
@@ -96,15 +95,18 @@ class SolverOptions:
     generator.
     """
 
-    method: str = "lm"
-    residual_tol: float = 1e-7
-    mu: float = 0.005
-    max_iter: int = 200
-    start: AugmentedPoint | None = None
-    num_random_starts: int = 8
-    rng_seed: int = 0
+    __slots__ = ("method", "residual_tol", "mu", "max_iter", "start", "num_random_starts", "rng_seed")
 
-    def __post_init__(self):
+    def __init__(self, method: str = "lm", residual_tol: float = 1e-7, mu: float = 0.005,
+                 max_iter: int = 200, start: AugmentedPoint | None = None, num_random_starts: int = 8,
+                 rng_seed: int = 0):
+        object.__setattr__(self, "method", method)
+        object.__setattr__(self, "residual_tol", residual_tol)
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "max_iter", max_iter)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "num_random_starts", num_random_starts)
+        object.__setattr__(self, "rng_seed", rng_seed)
         # The only check of these knobs: the engine trusts them on every
         # iterate, and the report writes the counts as JSON integers.  Only
         # start's dims wait for the problem (_resolve_start).
@@ -122,8 +124,7 @@ class SolverOptions:
             raise ValueError(f"start must be None or an AugmentedPoint, got {self.start!r}")
 
 
-@dataclass(frozen=True, eq=False)
-class SolveReport:
+class SolveReport(Record):
     """Outcome of one solve.
 
     point is the final iterate on success and the best-residual iterate
@@ -133,23 +134,33 @@ class SolveReport:
     variables when the point maps back to a valid solution.
     """
 
-    status: SolveStatus
-    point: AugmentedPoint
-    residual_norm: float
-    iterations: int
-    residual_history: list[float] = field(repr=False)
-    case_label: CaseLabel = CaseLabel.CASE_VI
-    certified: bool = False
-    recovered: PointZ | None = None
+    __slots__ = ("status", "point", "residual_norm", "iterations", "residual_history", "case_label",
+                 "certified", "recovered")
+    _hidden = ("residual_history",)
+
+    def __init__(self, status: SolveStatus, point: AugmentedPoint, residual_norm: float, iterations: int,
+                 residual_history: list[float], case_label: CaseLabel = CaseLabel.CASE_VI,
+                 certified: bool = False, recovered: PointZ | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "point", point)
+        object.__setattr__(self, "residual_norm", residual_norm)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "residual_history", residual_history)
+        object.__setattr__(self, "case_label", case_label)
+        object.__setattr__(self, "certified", certified)
+        object.__setattr__(self, "recovered", recovered)
 
 
-@dataclass
-class _RawSolve:
-    status: SolveStatus
-    x: np.ndarray
-    norm: float
-    iterations: int
-    history: list[float]
+class _RawSolve(Record):
+    __slots__ = ("status", "x", "norm", "iterations", "history")
+
+    def __init__(self, status: SolveStatus, x: np.ndarray, norm: float, iterations: int,
+                 history: list[float]):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "iterations", iterations)
+        object.__setattr__(self, "history", history)
 
 
 def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
@@ -163,51 +174,50 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     A step factors J or J^T J + mu I with linalg._factor and solves with
     dgetrs: lu_solve(lu_factor(...))'s bits without its per-call checks.
     A NaN or inf in a residual (the initial one too) or step matrix ends
-    the run Diverged, a failed pivot test SingularJacobian.  The run
-    ignores numpy's overflow and invalid-value warnings, whose cause its
-    status already reports.
+    the run Diverged, a failed pivot test SingularJacobian.  The caller
+    ignores numpy's overflow and invalid-value warnings (_first_answer),
+    whose cause the run's status already reports.
     """
-    with np.errstate(over="ignore", invalid="ignore"):
-        x = np.array(x0, dtype=float)
+    x = np.array(x0, dtype=float)
+    res, aux = res_fn(x)
+    # One pass: a NaN or inf entry makes the max non-finite.
+    norm = float(np.maximum.reduce(np.abs(res)))
+    history = [norm]
+    best_x, best_norm = x, norm
+    if not math.isfinite(norm):
+        return _RawSolve(SolveStatus.DIVERGED, x, norm, 0, history)
+    k = 0
+    newton = opts.method == "newton"
+    damping = None if newton else opts.mu * np.eye(x.size)
+    while True:
+        if norm <= opts.residual_tol:
+            return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history)
+        if k >= opts.max_iter:
+            return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
+        jac = jac_fn(x, aux)
+        try:
+            if newton:
+                lu, piv = _factor(jac, "jacobian")
+                rhs = -res
+            else:
+                lu, piv = _factor(jac.T @ jac + damping, "normal matrix")
+                rhs = -(jac.T @ res)
+        except SingularMatrix:
+            return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
+        except ValueError:
+            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+        d, _ = dgetrs(lu, piv, rhs)
+        x = x + d
         res, aux = res_fn(x)
-        # One pass: a NaN or inf entry makes the max non-finite.
         norm = float(np.maximum.reduce(np.abs(res)))
-        history = [norm]
-        best_x, best_norm = x, norm
         if not math.isfinite(norm):
-            return _RawSolve(SolveStatus.DIVERGED, x, norm, 0, history)
-        k = 0
-        newton = opts.method == "newton"
-        damping = None if newton else opts.mu * np.eye(x.size)
-        while True:
-            if norm <= opts.residual_tol:
-                return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history)
-            if k >= opts.max_iter:
-                return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
-            jac = jac_fn(x, aux)
-            try:
-                if newton:
-                    lu, piv = _factor(jac, "jacobian")
-                    rhs = -res
-                else:
-                    lu, piv = _factor(jac.T @ jac + damping, "normal matrix")
-                    rhs = -(jac.T @ res)
-            except SingularMatrix:
-                return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
-            except ValueError:
-                return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
-            d, _ = dgetrs(lu, piv, rhs)
-            x = x + d
-            res, aux = res_fn(x)
-            norm = float(np.maximum.reduce(np.abs(res)))
-            if not math.isfinite(norm):
-                return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
-            k += 1
-            history.append(norm)
-            if norm < best_norm:
-                best_x, best_norm = x, norm
-            elif norm > DIVERGENCE_FACTOR * best_norm:
-                return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
+        k += 1
+        history.append(norm)
+        if norm < best_norm:
+            best_x, best_norm = x, norm
+        elif norm > DIVERGENCE_FACTOR * best_norm:
+            return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
 
 
 def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
@@ -359,15 +369,21 @@ def _reduced_candidates(prob: LcpProblem):
 def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> SolveReport:
     """The first candidate, of the augmented runs from starts and then of
     reduced, whose augmented residual passes the tolerance; failing that,
-    the report of the best augmented run."""
-    kernel = FbKernel(prob)
-    runs: list[_RawSolve] = []
-    augmented = _augmented_candidates(prob, opts, kernel, starts, runs)
-    for raw, point, label, z in itertools.chain(augmented, reduced):
-        report = _accept(kernel, raw, point, label, z)
-        if report.residual_norm <= opts.residual_tol:
-            return report
-    return _unsolved(prob, min(runs, key=lambda raw: raw.norm))
+    the report of the best augmented run.
+
+    The whole solve ignores numpy's overflow and invalid-value warnings:
+    data near the float range overflows the kernel's constants, the runs,
+    the candidate checks or the certificate, and what overflowed shows as
+    a run's status, a rejected candidate or an uncertified answer."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        kernel = FbKernel(prob)
+        runs: list[_RawSolve] = []
+        augmented = _augmented_candidates(prob, opts, kernel, starts, runs)
+        for raw, point, label, z in itertools.chain(augmented, reduced):
+            report = _accept(kernel, raw, point, label, z)
+            if report.residual_norm <= opts.residual_tol:
+                return report
+        return _unsolved(prob, min(runs, key=lambda raw: raw.norm))
 
 
 def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveReport:

@@ -13,7 +13,6 @@ Jacobian those conditions and the tests rest on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -24,6 +23,7 @@ from .cones import PointZ, orthant_comp_violation
 from .errors import DimensionMismatch, ShapeUnsupported, SingularMatrix, TooLarge, ZeroU
 from .fbsystem import _check_dims, fb_jacobian, fb_residual
 from .linalg import as_matrix, as_vector, lu_factor, lu_solve
+from .record import Record, ValueRecord
 from .reformulation import AugmentedPoint, LcpProblem, affine_map
 
 # Default central-difference step; balances truncation against rounding for
@@ -215,8 +215,7 @@ def stationarity_check(prob: LcpProblem, w: AugmentedPoint, tol: float = 1e-3) -
     return float(np.abs(grad_merit(prob, w)).max()) <= tol * (1.0 + float(np.linalg.norm(res)))
 
 
-@dataclass(frozen=True)
-class IndexSets:
+class IndexSets(ValueRecord):
     """Partition of the orthant indices by how the pair (xhat_i, f1_i) sits.
 
     comp holds the indices complementary within eps; res is its complement,
@@ -224,10 +223,13 @@ class IndexSets:
     are 0-based.
     """
 
-    comp: frozenset
-    res: frozenset
-    pos: frozenset
-    neg: frozenset
+    __slots__ = ("comp", "res", "pos", "neg")
+
+    def __init__(self, comp: frozenset, res: frozenset, pos: frozenset, neg: frozenset):
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "res", res)
+        object.__setattr__(self, "pos", pos)
+        object.__setattr__(self, "neg", neg)
 
 
 def index_sets(xhat, f1, eps: float = 1e-6) -> IndexSets:
@@ -253,8 +255,7 @@ class RegularityKind(str, Enum):
     IRREGULAR_WITNESS = "IrregularWitness"
 
 
-@dataclass(frozen=True, eq=False)
-class RegularityVerdict:
+class RegularityVerdict(Record):
     """Outcome of the FB-regularity test at a point.
 
     Regular is only issued in the decidable case: A nonsingular and no
@@ -265,12 +266,17 @@ class RegularityVerdict:
     caller.
     """
 
-    kind: RegularityKind
-    reason: str
-    index_sets: IndexSets | None = None
-    witness: np.ndarray | None = None
-    schur_free: np.ndarray | None = None
-    s0_advisory: bool | None = None
+    __slots__ = ("kind", "reason", "index_sets", "witness", "schur_free", "s0_advisory")
+
+    def __init__(self, kind: RegularityKind, reason: str, index_sets: IndexSets | None = None,
+                 witness: np.ndarray | None = None, schur_free: np.ndarray | None = None,
+                 s0_advisory: bool | None = None):
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "reason", reason)
+        object.__setattr__(self, "index_sets", index_sets)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "schur_free", schur_free)
+        object.__setattr__(self, "s0_advisory", s0_advisory)
 
 
 def fb_regularity_check(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6) -> RegularityVerdict:

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from esoclcp import (
+    AugmentedPoint,
     EsocDims,
     PointZ,
     SolverOptions,
     example_problem,
+    lm_solve,
     make_instance,
     parse_problem,
     parse_report,
@@ -19,6 +21,7 @@ from esoclcp import (
     serialize_solution,
     solve_esoclcp,
 )
+from esoclcp.fileio import _flist
 from conftest import random_problem
 
 
@@ -198,6 +201,29 @@ def test_report_round_trip_failure():
     assert data["status"] == "MaxIter"
     assert data["recovered"] is None
     assert data["certified"] is False
+
+
+@pytest.mark.filterwarnings("error")
+def test_report_round_trip_non_finite_residual():
+    # The start's residual overflows, so the run ends Diverged with an inf
+    # norm; the report writes it as the reader's Infinity token.
+    start = AugmentedPoint(np.ones(3), np.ones(2), 1e200)
+    opts = SolverOptions(start=start)
+    rep = lm_solve(example_problem(), opts)
+    assert rep.status.value == "Diverged" and rep.residual_norm == np.inf
+    text = serialize_report(rep, opts)
+    assert '"residual_norm": Infinity,' in text
+    data = parse_report(text)
+    assert data["residual_norm"] == np.inf
+    assert data["residual_history"] == [np.inf]
+    assert data["point"]["t"] == 1e200
+
+
+def test_non_finite_floats_use_the_readers_tokens():
+    text = _flist([np.inf, -np.inf, np.nan, 1.5])
+    assert text == "[Infinity, -Infinity, NaN, 1.5]"
+    values = json.loads(text)
+    assert values[:2] == [np.inf, -np.inf] and np.isnan(values[2]) and values[3] == 1.5
 
 
 def test_report_serialization_deterministic():

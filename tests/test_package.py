@@ -1,4 +1,8 @@
-"""The package's public names."""
+"""The package's public names, and the layers the benchmark's tracer hooks."""
+
+import importlib
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,3 +52,14 @@ def test_unknown_attribute_still_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         esoclcp.no_such_name
     assert not hasattr(esoclcp, "no_such_name")
+
+
+def test_benchmark_tracer_finds_every_layer(monkeypatch):
+    # perfbench/tracer.py rebinds names in the package's namespaces; a hook
+    # whose name moved is listed as missing and a traced run reads wrong.
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    monkeypatch.delitem(sys.modules, "tracer", raising=False)
+    tracer = importlib.import_module("tracer").Tracer()
+    with tracer.installed():
+        pass
+    assert tracer.missing == []

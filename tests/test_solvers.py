@@ -139,6 +139,19 @@ def test_overflowing_start_ends_the_run(example, t, method, status):
     assert comp_pair_check(pipeline.recovered, affine_map(example, pipeline.recovered), 1e-6)
 
 
+# Entries near the float range overflow the kernel's constant sums (e'Ae
+# is inf) and make the answer's Jacobian, which its certificate builds,
+# NaN.  The solve still answers, through the u = 0 branch, uncertified,
+# and writes no warning.
+@pytest.mark.filterwarnings("error")
+def test_data_near_the_float_range_solves_without_warnings():
+    prob = LcpProblem(EsocDims(2, 1), 1e308 * np.eye(3), np.ones(3))
+    rep = solve_esoclcp(prob)
+    assert (rep.status, rep.case_label, rep.iterations) == (SolveStatus.CONVERGED, CaseLabel.CASE_I, 0)
+    assert not rep.certified
+    assert np.array_equal(rep.recovered.x, [0.0, 0.0])
+
+
 def test_max_iter_reports_best_point(example):
     rep = lm_solve(example, SolverOptions(max_iter=1))
     assert rep.status is SolveStatus.MAX_ITER

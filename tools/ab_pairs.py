@@ -11,14 +11,18 @@ over the session falls on both sides alike.  The end-to-end metrics, their
 direction and their bounds are read from the change's ``BENCHMARK.json``;
 ``--seconds`` defaults to its ``run_seconds``.
 
-Printed: every pair's values, then per metric the parent's and the
-change's median and quartiles, the relative change of the median, the
+Printed: every pair's values, with each run's ``attempted`` after its
+``peak_rss_mb`` (on the batches, the number of solves the run completed,
+against which to read a memory change), then per metric the parent's and
+the change's median and quartiles, the relative change of the median, the
 parent's interquartile range relative to its median, and how many pairs
-the change won; then ``failed``/``attempted`` and ``correct`` per side.
-``--out FILE`` also writes every run's result as JSON.  ``--bench-json
-FILE`` adds the workload's summary to FILE (a ``BENCH_*.json``; created
-when absent, other workloads' entries kept): per metric both sides' medians
-and quartiles, the seeds, ``failed``/``attempted`` per side, the ``src/``
+the change won; then ``failed``/``attempted``, the median ``attempted``
+and ``correct`` per side.  ``--out FILE`` also writes every run's result
+and each side's median ``attempted`` as JSON.  ``--bench-json FILE`` adds
+the workload's summary to FILE (a ``BENCH_*.json``; created when absent,
+other workloads' entries kept): per metric both sides' medians and
+quartiles, the seeds, ``failed``/``attempted`` and the median
+``attempted`` per side, the ``src/``
 line count of each checkout (``src_lines``), the line count of the
 ``esoclcp`` modules a fresh ``import esoclcp.cli`` loads from it
 (``cold_path_lines``, also printed before the runs) and the machine's facts,
@@ -169,6 +173,8 @@ def main(argv=None) -> int:
         row = "  ".join(
             f"{m['name']} {runs['parent'][-1]['metrics'][m['name']]['value']:.4g}"
             f"->{runs['change'][-1]['metrics'][m['name']]['value']:.4g}"
+            + (f" (attempted {runs['parent'][-1]['attempted']}->{runs['change'][-1]['attempted']})"
+               if m["name"] == "peak_rss_mb" else "")
             for m in metrics
         )
         print(f"pair {index + 1} seed {seed} ({order[0]} first): {row}", flush=True)
@@ -196,12 +202,15 @@ def main(argv=None) -> int:
         attempted = [r["attempted"] for r in runs[side]]
         correct = sum(r["correct"] for r in runs[side])
         print(f"  {side}: failed/attempted {sum(failed)}/{sum(attempted)} "
-              f"(per run {min(failed)}-{max(failed)} of {min(attempted)}-{max(attempted)}), "
-              f"correct {correct}/{len(runs[side])}")
+              f"(per run {min(failed)}-{max(failed)} of {min(attempted)}-{max(attempted)}, "
+              f"median attempted {statistics.median(attempted):g}), correct {correct}/{len(runs[side])}")
         outcomes[side] = {"failed": sum(failed), "attempted": sum(attempted),
+                          "median_attempted": statistics.median(attempted),
                           "correct_runs": correct, "runs": len(runs[side])}
     if args.out is not None:
-        record = {"workload": args.workload, "seeds": args.seeds, "seconds": seconds, "runs": runs}
+        record = {"workload": args.workload, "seeds": args.seeds, "seconds": seconds,
+                  "median_attempted": {side: outcomes[side]["median_attempted"] for side in sides},
+                  "runs": runs}
         args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     if args.bench_json is not None:
         entry = {"seeds": args.seeds, "seconds": seconds, "pairs": len(args.seeds),
