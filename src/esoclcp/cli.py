@@ -34,6 +34,9 @@ ENV_TOL = "ESOCLCP_DEFAULT_TOL"
 # Name accepted in place of a problem path to mean the built-in example.
 EXAMPLE_NAME = "example-paper"
 
+# The solve flags' defaults are SolverOptions' own.
+_DEFAULTS = SolverOptions()
+
 
 def _fmt_vec(v) -> str:
     return "[" + ", ".join(format(float(x), ".12g") for x in np.asarray(v)) + "]"
@@ -42,7 +45,7 @@ def _fmt_vec(v) -> str:
 def _default_tol() -> float:
     raw = os.environ.get(ENV_TOL)
     if raw is None:
-        return 1e-7
+        return _DEFAULTS.residual_tol
     try:
         return float(raw)
     except ValueError:
@@ -104,8 +107,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.k < 1 or args.l < 1:
-        raise ValueError(f"k and l must be at least 1, got k={args.k}, l={args.l}")
     inst = make_instance(args.case, args.k, args.l, args.seed)
     comment = f"generated: case {args.case}, k={args.k}, l={args.l}, seed={args.seed}"
     text = serialize_problem(inst.problem, comment=comment)
@@ -145,12 +146,12 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="solve a problem file")
     solve.add_argument("problem", help=f"problem file path, or '{EXAMPLE_NAME}'")
-    solve.add_argument("--method", choices=["newton", "lm"], default="lm")
+    solve.add_argument("--method", choices=["newton", "lm"], default=_DEFAULTS.method)
     solve.add_argument("--tol", type=float, default=None, help="residual tolerance")
-    solve.add_argument("--mu", type=float, default=0.005, help="LM damping")
-    solve.add_argument("--max-iter", type=int, default=200)
-    solve.add_argument("--seed", type=int, default=0, help="seed for extra starts")
-    solve.add_argument("--starts", type=int, default=8, help="number of random starts")
+    solve.add_argument("--mu", type=float, default=_DEFAULTS.mu, help="LM damping")
+    solve.add_argument("--max-iter", type=int, default=_DEFAULTS.max_iter)
+    solve.add_argument("--seed", type=int, default=_DEFAULTS.rng_seed, help="seed for extra starts")
+    solve.add_argument("--starts", type=int, default=_DEFAULTS.num_random_starts, help="random starts")
     solve.add_argument("--json", action="store_true", help="print the report file to stdout")
     solve.add_argument("--out", default=None, help="also write the report file here")
     solve.set_defaults(fn=_cmd_solve)

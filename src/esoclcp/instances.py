@@ -66,14 +66,14 @@ class GeneratedInstance(Record):
         object.__setattr__(self, "case", case)
 
 
-def _draw_problem(rng: np.random.Generator, k: int, l: int) -> LcpProblem:
+def _draw_problem(rng: np.random.Generator, dims: EsocDims) -> LcpProblem:
     """Draw (T, r) with T, A, D nonsingular, redrawing on failure."""
-    m = k + l
+    m = dims.m
     for _ in range(_REDRAW_LIMIT):
         T = rng.uniform(-ENTRY_RANGE, ENTRY_RANGE, (m, m))
         r = rng.uniform(-ENTRY_RANGE, ENTRY_RANGE, m)
         try:
-            return LcpProblem(EsocDims(k, l), T, r)
+            return LcpProblem(dims, T, r)
         except SingularMatrix:
             continue
     raise RuntimeError("could not draw a nonsingular T in 100 tries")
@@ -113,7 +113,7 @@ def make_instance(case: str, k: int, l: int, seed: int) -> GeneratedInstance:
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
     rng = np.random.default_rng(seed)
-    base = _draw_problem(rng, k, l)
+    base = _draw_problem(rng, EsocDims(k, l))  # checks k and l before any draw
     if case == "random":
         return GeneratedInstance(base, None, case)
 

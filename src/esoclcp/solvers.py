@@ -16,13 +16,13 @@ leaves LCP(A, p), and v = 0, once u = -D^-1 (C x + q) is eliminated,
 leaves LCP(A - B D^-1 C, p - B D^-1 q).  One path finds the roots of
 either, exactly: it enumerates the complementary supports (lcp_roots).
 It runs up to k = ENUM_MAX_K; above it the branches are not searched.
-Every candidate is accepted only after the independent complementarity
-checks pass.
+One rule accepts and labels every candidate, whichever its source: its
+pair (z, T z + r) must be complementary (classify_pair), and the shape of
+that pair gives its case label.
 
 newton_solve and lm_solve run the augmented system from opts.start alone
-and accept through the same loop: an answer is labelled by the shape of
-its pair, and a run that converged to a rejected point is reported as
-Diverged.
+and accept through the same loop; a run that converged to a rejected
+point is reported as Diverged.
 """
 
 from __future__ import annotations
@@ -34,29 +34,24 @@ from enum import Enum
 
 import numpy as np
 
-from .cones import PairCase, PointZ, classify_pair, comp_pair_check
+from .cones import PairCase, PointZ, classify_pair
 from .errors import EsoclcpError, SingularMatrix
 from .fbsystem import FbKernel
+from .linalg import _factor, dgetrs, lu_factor, lu_solve
+from .record import Record, ValueRecord
+from .reformulation import AugmentedPoint, LcpProblem, affine_map, recover_solution
 
 # Not called here, but kept bound in this namespace, where per-layer tracing
 # (perfbench/tracer.py) looks up the package's layers.
+from .cones import comp_pair_check  # noqa: F401
 from .fbsystem import certify_solution, fb_jacobian, fb_residual, psi_fb  # noqa: F401
-from .linalg import _factor, dgetrs, lu_factor, lu_solve
-from .reformulation import (
-    AugmentedPoint,
-    LcpProblem,
-    affine_map,
-    case_i_check,
-    case_ii_check,
-    recover_solution,
-)
-from .record import Record, ValueRecord
+from .reformulation import case_i_check, case_ii_check  # noqa: F401
 
 # Residual growth factor over the running minimum that aborts a run.
 DIVERGENCE_FACTOR = 1e6
 
-# Acceptance tolerance for recovered solutions and case checks; recovery
-# also needs t above it.
+# Acceptance tolerance of a candidate's pair (classify_pair); recovery also
+# needs t above it.
 ACCEPT_TOL = 1e-6
 
 # Largest k whose reduced branches are searched, each by enumerating all 2^k
@@ -108,8 +103,8 @@ class SolverOptions(ValueRecord):
         object.__setattr__(self, "num_random_starts", num_random_starts)
         object.__setattr__(self, "rng_seed", rng_seed)
         # The only check of these knobs: the engine trusts them on every
-        # iterate, and the report writes the counts as JSON integers.  Only
-        # start's dims wait for the problem (_resolve_start).
+        # iterate, and the report writes the counts as JSON integers (a bool
+        # is not one).  Only start's dims wait for the problem (_resolve_start).
         if self.method not in ("newton", "lm"):
             raise ValueError(f"method must be 'newton' or 'lm', got {self.method!r}")
         if not 0 < self.residual_tol < math.inf:
@@ -118,7 +113,7 @@ class SolverOptions(ValueRecord):
             raise ValueError(f"mu must be finite and nonnegative, got {self.mu}")
         for name, least in (("max_iter", 1), ("num_random_starts", 0), ("rng_seed", 0)):
             value = getattr(self, name)
-            if not (isinstance(value, numbers.Integral) and value >= least):
+            if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= least):
                 raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
         if not (self.start is None or isinstance(self.start, AugmentedPoint)):
             raise ValueError(f"start must be None or an AugmentedPoint, got {self.start!r}")
@@ -252,10 +247,11 @@ def lcp_roots(M: np.ndarray, q: np.ndarray):
     Exact support enumeration (Cottle, Pang and Stone, The Linear
     Complementarity Problem, 1992): for each support S, by size and then
     lexicographically, solve M_SS x_S = -q_S with x = 0 off S, and yield x
-    when x and M x + q are nonnegative up to ENUM_RTOL.  A support whose
-    principal block fails the pivot test is skipped, so a root reachable
-    only through singular blocks is missed, and a degenerate root (some
-    x_i = (M x + q)_i = 0) is yielded once per support that reaches it.
+    when x and M x + q are finite and nonnegative up to ENUM_RTOL.  A
+    support whose principal block fails the pivot test is skipped, so a
+    root reachable only through singular blocks is missed, and a degenerate
+    root (some x_i = (M x + q)_i = 0) is yielded once per support that
+    reaches it.
     """
     n = q.shape[0]
     for size in range(n + 1):
@@ -268,20 +264,17 @@ def lcp_roots(M: np.ndarray, q: np.ndarray):
                 except SingularMatrix:
                     continue
             w = M @ x + q
-            if min(x.min(), w.min()) >= -ENUM_RTOL * (1.0 + max(np.abs(x).max(), np.abs(w).max())):
+            scale = np.maximum(np.abs(x).max(), np.abs(w).max())  # NaN stays NaN
+            if scale < math.inf and min(x.min(), w.min()) >= -ENUM_RTOL * (1.0 + scale):
                 yield x
 
 
-# Case label of an augmented-branch answer, by the shape of its pair.
+# Case label of an answer, by the shape of its pair.
 _PAIR_LABEL = {
     PairCase.U_ZERO: CaseLabel.CASE_I,
     PairCase.V_ZERO: CaseLabel.CASE_II,
     PairCase.GENERAL: CaseLabel.CASE_VI,
 }
-
-
-def _verified(prob: LcpProblem, z: PointZ) -> bool:
-    return comp_pair_check(z, affine_map(prob, z), ACCEPT_TOL)
 
 
 def _accept(kernel: FbKernel, raw, point, label, recovered) -> SolveReport:
@@ -320,9 +313,8 @@ def _starts(first: np.ndarray, opts: SolverOptions, dims):
 
 
 def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKernel, starts, runs: list):
-    """Yield (raw, point, label, z) for each augmented run from starts whose
-    point recovers (t above ACCEPT_TOL) to a complementary pair, labelled by
-    the shape of that pair; every run is appended to runs."""
+    """Yield (raw, point, z) for each converged run from starts whose point
+    recover_solution maps to z; every run is appended to runs."""
     for start in starts:
         raw = _iterate(kernel.residual, kernel.jacobian, start, opts)
         runs.append(raw)
@@ -333,43 +325,43 @@ def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKerne
             z = recover_solution(point, ACCEPT_TOL)
         except (EsoclcpError, ValueError):
             continue
-        case, _ = classify_pair(z, affine_map(prob, z), ACCEPT_TOL)
-        if case is not PairCase.NOT_COMPLEMENTARY:
-            yield raw, point, _PAIR_LABEL[case], z
+        yield raw, point, z
 
 
 def _reduced_candidates(prob: LcpProblem):
-    """Yield (None, point, label, z) for each root of the u = 0 branch
-    (CASE_I), then of the v = 0 branch (CASE_II), that passes its case
-    check and the pair check; nothing when k > ENUM_MAX_K.
+    """Yield (None, point, z) for each root of the u = 0 branch, then of the
+    v = 0 branch; nothing when k > ENUM_MAX_K.
 
     The branches solve LCP(A, p), and LCP(A - B D^-1 C, p - B D^-1 q) with
     u = -D^-1 (C x + q), through lcp_roots.  D is factored once, when the
-    v = 0 branch starts; a singular D ends it.
+    v = 0 branch starts; a singular D or overflowed reduced data ends it.
     """
     if prob.dims.k > ENUM_MAX_K:
         return
-    l = prob.dims.l
+    u0 = np.zeros(prob.dims.l)
     A, B, C, D, p, q = prob.A, prob.B, prob.C, prob.D, prob.p, prob.q
     for x in lcp_roots(A, p):
-        z = PointZ(x, np.zeros(l))
-        if case_i_check(prob, x, ACCEPT_TOL) and _verified(prob, z):
-            yield None, AugmentedPoint(x, z.u, 0.0), CaseLabel.CASE_I, z
+        yield None, AugmentedPoint(x, u0, 0.0), PointZ(x, u0)
     try:
         lu_D = lu_factor(D, name="D")
     except SingularMatrix:
         return
-    for x in lcp_roots(A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q)):
-        z = PointZ(x, -lu_solve(lu_D, C @ x + q))
-        if case_ii_check(prob, z, ACCEPT_TOL) and _verified(prob, z):
-            t = float(np.linalg.norm(z.u))
-            yield None, AugmentedPoint(x - t, z.u, t), CaseLabel.CASE_II, z
+    M, r = A - B @ lu_solve(lu_D, C), p - B @ lu_solve(lu_D, q)
+    if not (np.isfinite(M).all() and np.isfinite(r).all()):
+        return
+    for x in lcp_roots(M, r):
+        u = -lu_solve(lu_D, C @ x + q)
+        t = float(np.linalg.norm(u))
+        if t < math.inf:  # else u overflowed
+            yield None, AugmentedPoint(x - t, u, t), PointZ(x, u)
 
 
 def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> SolveReport:
     """The first candidate, of the augmented runs from starts and then of
-    reduced, whose augmented residual passes the tolerance; failing that,
-    the report of the best augmented run.
+    reduced, that passes the one acceptance rule; failing that, the report
+    of the best augmented run.  The rule: the pair (z, T z + r) is finite
+    and complementary, its shape is the case label, and the augmented
+    residual passes the tolerance.
 
     The whole solve ignores numpy's overflow and invalid-value warnings:
     data near the float range overflows the kernel's constants, the runs,
@@ -379,8 +371,15 @@ def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> 
         kernel = FbKernel(prob)
         runs: list[_RawSolve] = []
         augmented = _augmented_candidates(prob, opts, kernel, starts, runs)
-        for raw, point, label, z in itertools.chain(augmented, reduced):
-            report = _accept(kernel, raw, point, label, z)
+        for raw, point, z in itertools.chain(augmented, reduced):
+            try:
+                w = affine_map(prob, z)
+            except ValueError:  # T z + r overflowed
+                continue
+            case, _ = classify_pair(z, w, ACCEPT_TOL)
+            if case is PairCase.NOT_COMPLEMENTARY:
+                continue
+            report = _accept(kernel, raw, point, _PAIR_LABEL[case], z)
             if report.residual_norm <= opts.residual_tol:
                 return report
         return _unsolved(prob, min(runs, key=lambda raw: raw.norm))
@@ -392,13 +391,13 @@ def solve_esoclcp(prob: LcpProblem, opts: SolverOptions | None = None) -> SolveR
     One loop takes the candidates of the augmented smooth system, from the
     default start and num_random_starts seeded extra starts, then those of
     the u = 0 and v = 0 branches (_reduced_candidates), and returns the
-    first whose augmented residual passes the tolerance.  The reduced roots
-    are exact, so their answers report 0 iterations; above k = ENUM_MAX_K
-    the branches are not searched.  An augmented answer is labelled by the shape of its pair
-    (classify_pair), so one whose image has a zero norm block is CASE_II.
-    When nothing is accepted, the report describes the best augmented run;
-    a run that converged to an invalid point (t <= 0 or failed
-    verification) is reported as Diverged.
+    first that _first_answer accepts.  The reduced roots are exact, so
+    their answers report 0 iterations; above k = ENUM_MAX_K the branches
+    are not searched.  Every answer is labelled by the shape of its pair
+    (classify_pair), so an augmented answer whose image has a zero norm
+    block is CASE_II.  When nothing is accepted, the report describes the
+    best augmented run; a run that converged to an invalid point (t <= 0
+    or failed verification) is reported as Diverged.
     """
     if opts is None:
         opts = SolverOptions()

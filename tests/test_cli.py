@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from esoclcp import example_problem, make_instance, parse_problem, serialize_problem
+from esoclcp import SolverOptions, example_problem, make_instance, parse_problem, serialize_problem
 from esoclcp.cli import main
 
 
@@ -21,13 +21,20 @@ def test_solve_example_human_output(capsys):
     assert "x: [" in out and "u: [" in out
 
 
-def test_solve_example_json_output(capsys):
+def test_solve_example_json_output(monkeypatch, capsys):
+    monkeypatch.delenv("ESOCLCP_DEFAULT_TOL", raising=False)
     code = main(["solve", "example-paper", "--json"])
     out = capsys.readouterr().out
     assert code == 0
     data = json.loads(out)
     assert data["status"] == "Converged"
     assert data["options"]["method"] == "lm"
+    # With no flags the report's options are SolverOptions' defaults.
+    defaults = SolverOptions()
+    assert data["options"] == {
+        "method": defaults.method, "tol": defaults.residual_tol, "mu": defaults.mu,
+        "max_iter": defaults.max_iter, "seed": defaults.rng_seed, "starts": defaults.num_random_starts,
+    }
 
 
 def test_solve_writes_report_file(tmp_path, capsys):
@@ -177,7 +184,7 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 def test_gen_rejects_bad_dims(capsys):
     assert main(["gen", "--k", "0", "--l", "2"]) == 1
-    assert "error:" in capsys.readouterr().err
+    assert "error: dims must satisfy k >= 1 and l >= 1, got k=0, l=2" in capsys.readouterr().err
 
 
 def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():

@@ -103,3 +103,9 @@ def test_single_coordinate_edge_dims():
 def test_unknown_case_rejected():
     with pytest.raises(ValueError):
         make_instance("iii", 2, 2, 0)
+
+
+@pytest.mark.parametrize("k, l", [(-5, 2), (0, 1), (2, 0)])
+def test_bad_dims_rejected_before_drawing(k, l):
+    with pytest.raises(ValueError, match=rf"^dims must satisfy k >= 1 and l >= 1, got k={k}, l={l}$"):
+        make_instance("vi", k, l, 0)

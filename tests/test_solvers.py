@@ -57,6 +57,9 @@ def test_options_defaults_and_validation():
         ("max_iter", 2.5),
         ("num_random_starts", 1.5),
         ("rng_seed", -1),
+        ("max_iter", True),
+        ("rng_seed", True),
+        ("num_random_starts", False),
         ("start", "center"),
         ("start", "default"),
         pytest.param("start", np.ones(6), id="start-array"),
@@ -150,6 +153,29 @@ def test_data_near_the_float_range_solves_without_warnings():
     assert (rep.status, rep.case_label, rep.iterations) == (SolveStatus.CONVERGED, CaseLabel.CASE_I, 0)
     assert not rep.certified
     assert np.array_equal(rep.recovered.x, [0.0, 0.0])
+
+
+# Data whose reduced v = 0 LCP overflows (B D^-1 C is inf); data where
+# M x + q overflows at a support solution of the u = 0 branch; and a u = 0
+# root x = 1e10 whose image's norm block C x + q overflows (T fails the
+# pivot test there).  None is an answer; each solve reports, without a
+# warning.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dims, T, r", [
+    ((1, 1), [[1.0, 1e300], [1e300, 1.0]], [-1.0, 1.0]),
+    ((2, 1), [[1e300, 0.0, 0.0], [1e301, 1e300, 0.0], [0.0, 0.0, 1e300]], [-1.7e308, 0.0, 0.0]),
+    ((1, 1), [[1.0, 0.0], [1e300, 1.0]], [-1e10, 0.0]),
+])
+def test_non_finite_reduced_data_is_no_answer(dims, T, r):
+    rep = solve_esoclcp(LcpProblem(EsocDims(*dims), np.array(T), np.array(r), allow_singular=True))
+    assert (rep.status, rep.recovered) == (SolveStatus.DIVERGED, None)
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid")
+def test_lcp_roots_skip_a_non_finite_image():
+    # In exact arithmetic x = (1.7e308, 0) with M x + q = (0, 3.4e308).
+    M = np.array([[1.0, 0.0], [2.0, 1.0]])
+    assert list(lcp_roots(M, np.array([-1.7e308, 0.0]))) == []
 
 
 def test_max_iter_reports_best_point(example):
@@ -451,8 +477,8 @@ def test_enumeration_answers_planted_instances_at_k_11_and_12(case, k, l, seed):
 
 def test_zero_image_branch_enumerates_at_k_11():
     inst = make_instance("ii", 11, 3, 1)
-    found = [(raw, z) for raw, _, label, z in solvers._reduced_candidates(inst.problem)
-             if label is CaseLabel.CASE_II]
+    found = [(raw, z) for raw, _, z in solvers._reduced_candidates(inst.problem)
+             if classify_pair(z, affine_map(inst.problem, z), 1e-6)[0] is PairCase.V_ZERO]
     assert found
     raw, z = found[0]
     assert raw is None
@@ -477,3 +503,25 @@ def test_singular_d_ends_zero_image_branch_quietly(monkeypatch):
     assert "D" in [name for name, _ in calls]
     assert rep.status is not SolveStatus.CONVERGED
     assert rep.recovered is None
+
+
+@pytest.mark.parametrize("case", ["vi", "i", "ii"])
+def test_every_answer_is_labelled_by_its_pair(case):
+    # One rule accepts and labels every candidate, augmented run or
+    # enumerated root: the case label is the shape of the answer's pair.
+    checked = 0
+    for seed in range(200, 251):
+        prob = make_instance(case, *_declared_dims(seed), seed).problem
+        reports = [
+            solve_esoclcp(prob),
+            lm_solve(prob, SolverOptions()),
+            newton_solve(prob, SolverOptions(method="newton")),
+        ]
+        for rep in reports:
+            if rep.status is not SolveStatus.CONVERGED:
+                continue
+            z = rep.recovered
+            shape, _ = classify_pair(z, affine_map(prob, z), 1e-6)
+            assert rep.case_label is solvers._PAIR_LABEL[shape], (case, seed)
+            checked += 1
+    assert checked >= 51

@@ -20,7 +20,11 @@ digest.  The declared sets:
   (``perfbench/run.py``: j = seed - 200, k = 1 + j % 5,
   l = 1 + (j + j // 5) % 5);
 - ``vi-0-199``: the acceptance criterion-4 set, seeds 0-199 with k and l
-  drawn in 1..5 by ``numpy.random.default_rng(2024)``.
+  drawn in 1..5 by ``numpy.random.default_rng(2024)``;
+- ``random-0-99``: ``make_instance("random", k, l, seed)`` for seeds 0-99
+  with k and l drawn in 1..5 by ``numpy.random.default_rng(99)``.  The
+  planted sets mostly accept an early candidate; most of these instances
+  have no answer, so every branch's candidates are checked and rejected.
 
 Printed: one line per set (digest, report count, name), then the total.
 Two trees whose totals agree wrote byte-identical reports on every set.
@@ -51,13 +55,14 @@ def declared_sets():
     for case in ("vi", "i", "ii"):
         problems = [make_instance(case, *benchmark_dims(seed), seed).problem for seed in range(200, 251)]
         sets.append((f"{case}-200-250", problems))
-    dims_rng = default_rng(2024)
-    problems = []
-    for seed in range(200):
-        k = int(dims_rng.integers(1, 6))
-        l = int(dims_rng.integers(1, 6))
-        problems.append(make_instance("vi", k, l, seed).problem)
-    sets.append(("vi-0-199", problems))
+    for case, seeds, dims_seed in (("vi", range(200), 2024), ("random", range(100), 99)):
+        dims_rng = default_rng(dims_seed)
+        problems = []
+        for seed in seeds:
+            k = int(dims_rng.integers(1, 6))
+            l = int(dims_rng.integers(1, 6))
+            problems.append(make_instance(case, k, l, seed).problem)
+        sets.append((f"{case}-{seeds[0]}-{seeds[-1]}", problems))
     return sets
 
 
