@@ -17,6 +17,7 @@ accepted at lhs >= rhs - tol*(1 + scale).  Exact arithmetic corresponds to
 tol = 0; the default is 1e-9.
 """
 
+import numbers
 from enum import Enum
 
 import numpy as np
@@ -34,8 +35,9 @@ class EsocDims(ValueRecord):
     __slots__ = ("k", "l")
 
     def __init__(self, k: int, l: int):
-        if k < 1 or l < 1:
-            # the cone needs both parts; the pure orthant case is served by
+        if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1 for n in (k, l)):
+            # integers (a bool is not one): m sizes every array and draw; the
+            # cone needs both parts, and the pure orthant case is served by
             # the reduced solver in `solvers`, not by l = 0
             raise ValueError(f"dims must satisfy k >= 1 and l >= 1, got k={k}, l={l}")
         object.__setattr__(self, "k", k)

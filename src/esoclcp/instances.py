@@ -10,12 +10,17 @@ unconditioned and has none.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .cones import EsocDims, PointZ
 from .errors import SingularMatrix
 from .record import Record
 from .reformulation import LcpProblem
+
+if TYPE_CHECKING:
+    from .rng import Pcg64
 
 # Matrix entries are drawn uniformly from this range, matching the scale of
 # the built-in example.
@@ -66,7 +71,7 @@ class GeneratedInstance(Record):
         object.__setattr__(self, "case", case)
 
 
-def _draw_problem(rng: np.random.Generator, dims: EsocDims) -> LcpProblem:
+def _draw_problem(rng: Pcg64, dims: EsocDims) -> LcpProblem:
     """Draw (T, r) with T, A, D nonsingular, redrawing on failure."""
     m = dims.m
     for _ in range(_REDRAW_LIMIT):
@@ -79,7 +84,7 @@ def _draw_problem(rng: np.random.Generator, dims: EsocDims) -> LcpProblem:
     raise RuntimeError("could not draw a nonsingular T in 100 tries")
 
 
-def _draw_u(rng: np.random.Generator, l: int) -> np.ndarray:
+def _draw_u(rng: Pcg64, l: int) -> np.ndarray:
     for _ in range(_REDRAW_LIMIT):
         u = rng.uniform(-PART_HI, PART_HI, l)
         if MIN_U_NORM <= np.linalg.norm(u) <= MAX_U_NORM:
@@ -87,7 +92,7 @@ def _draw_u(rng: np.random.Generator, l: int) -> np.ndarray:
     raise RuntimeError("could not draw u with a moderate norm in 100 tries")
 
 
-def _split_mask(rng: np.random.Generator, k: int) -> np.ndarray:
+def _split_mask(rng: Pcg64, k: int) -> np.ndarray:
     """Boolean mask with at least one True and one position left False.
 
     Used to split orthant indices between the active side of a point and
@@ -112,7 +117,9 @@ def make_instance(case: str, k: int, l: int, seed: int) -> GeneratedInstance:
     """
     if case not in CASES:
         raise ValueError(f"case must be one of {CASES}, got {case!r}")
-    rng = np.random.default_rng(seed)
+    from .rng import Pcg64  # only generation draws; the cold solve path does not
+
+    rng = Pcg64(seed)
     base = _draw_problem(rng, EsocDims(k, l))  # checks k and l before any draw
     if case == "random":
         return GeneratedInstance(base, None, case)

@@ -86,8 +86,8 @@ class SolverOptions(ValueRecord):
     start may be an AugmentedPoint or None, the default start: ones for
     xhat, u = e/sqrt(l) and t = 1, which keeps the first iterate away from
     the t = 0 surface where the equality block degenerates.  Random starts
-    are drawn from [0,1]^k x [-1,1]^l x [0.5, 1.5] with numpy's seeded
-    generator.
+    are drawn from [0,1]^k x [-1,1]^l x [0.5, 1.5] by esoclcp.rng.Pcg64,
+    numpy's default_rng(rng_seed) stream.
     """
 
     __slots__ = ("method", "residual_tol", "mu", "max_iter", "start", "num_random_starts", "rng_seed")
@@ -307,7 +307,9 @@ def _starts(first: np.ndarray, opts: SolverOptions, dims):
     """first, then num_random_starts seeded starts, drawn lazily from
     [0,1]^k x [-1,1]^l x [0.5, 1.5] by a generator seeded with rng_seed."""
     yield first
-    rng = np.random.default_rng(opts.rng_seed)
+    from .rng import Pcg64  # loaded only when a first start fails
+
+    rng = Pcg64(opts.rng_seed)
     for _ in range(opts.num_random_starts):
         yield np.concatenate([rng.uniform(0.0, 1.0, dims.k), rng.uniform(-1.0, 1.0, dims.l), rng.uniform(0.5, 1.5, 1)])
 

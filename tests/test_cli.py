@@ -207,6 +207,32 @@ def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():
     assert run.stdout.strip() == "[]"
 
 
+def test_generation_and_random_starts_import_no_numpy_random():
+    # Seeded draws come from esoclcp.rng, numpy's default_rng stream
+    # rebuilt without numpy.random: generating every case, `esoclcp gen`,
+    # and a solve that finds no answer and so draws all 8 random starts
+    # must not load it.  The example converges at its default start, so its
+    # solve does not even load esoclcp.rng.
+    code = (
+        "import contextlib, io, sys\n"
+        "from esoclcp import SolverOptions, SolveStatus, make_instance, solve_esoclcp\n"
+        "from esoclcp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert main(['solve', 'example-paper']) == 0\n"
+        "    assert 'esoclcp.rng' not in sys.modules\n"
+        "    assert main(['gen', '--k', '3', '--l', '2', '--case', 'random', '--seed', '4']) == 0\n"
+        "for case in ('vi', 'i', 'ii', 'random'):\n"
+        "    make_instance(case, 3, 2, 0)\n"
+        "report = solve_esoclcp(make_instance('random', 3, 2, 3).problem, SolverOptions())\n"
+        "assert report.status is SolveStatus.MAX_ITER, report.status\n"
+        "assert 'esoclcp.rng' in sys.modules\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize(
     "key, value",
     [("k", "3"), ("k", 3.0), ("k", None), ("k", [1]), ("l", True), ("r", {"a": 1})],

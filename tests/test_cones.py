@@ -26,6 +26,16 @@ def test_dims_validation():
         EsocDims(3, 0)
 
 
+@pytest.mark.parametrize("k, l", [(True, 2), (2, True), (2.5, 1), (2.0, 1), (1, 1.5), ("2", 1), (np.float64(2.0), 1)])
+def test_dims_must_be_integers(k, l):
+    with pytest.raises(ValueError, match=r"^dims must satisfy k >= 1 and l >= 1, got "):
+        EsocDims(k, l)
+
+
+def test_dims_accept_numpy_integers():
+    assert EsocDims(np.int64(3), np.uint8(2)).m == 5
+
+
 def test_point_array_round_trip():
     z = PointZ(np.array([1.0, 2.0]), np.array([3.0]))
     arr = z.to_array()

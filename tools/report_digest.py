@@ -1,4 +1,5 @@
-"""SHA-256 digests of the serialized reports of declared instance sets.
+"""SHA-256 digests of the generated problems and serialized reports of
+declared instance sets.
 
 Usage (from anywhere):
 
@@ -6,13 +7,21 @@ Usage (from anywhere):
 
 Imports ``esoclcp`` from ``CHECKOUT/src`` (default: the checkout this file
 belongs to), so the same script digests any tree, including one that does
-not have it.  Every instance is solved under ``method="lm"`` and then
-``method="newton"`` (default options otherwise), once by ``solve_esoclcp``
-and once by that method's single-start entry point (``lm_solve`` or
-``newton_solve``), and each report's ``serialize_report`` text is fed to
-the digest of its set and to the total.  A solve that raises feeds its
-exception's type and message instead, so a tree that raises still has a
-digest.  The declared sets:
+not have it.  For every instance, the digest of its set and the total are
+fed, in this order:
+
+- the problem's ``serialize_problem`` text, which checks the generator's
+  draws directly;
+- for ``method="lm"`` and then ``method="newton"`` (default options
+  otherwise), the ``serialize_report`` text of ``solve_esoclcp`` and of
+  that method's single-start entry point (``lm_solve`` or
+  ``newton_solve``);
+- for each method again, the report of ``solve_esoclcp`` under
+  ``rng_seed=5``, a second stream of random starts (``rng_seed=0`` is the
+  default), which checks the start draws of every solve that reaches them.
+
+A solve that raises feeds its exception's type and message instead, so a
+tree that raises still has a digest.  The declared sets:
 
 - ``example``: ``example_problem()``;
 - ``vi-200-250``, ``i-200-250``, ``ii-200-250``: ``make_instance(case, k, l,
@@ -26,9 +35,10 @@ digest.  The declared sets:
   planted sets mostly accept an early candidate; most of these instances
   have no answer, so every branch's candidates are checked and rejected.
 
-Printed: one line per set (digest, report count, name), then the total.
-Two trees whose totals agree wrote byte-identical reports on every set.
-Standard library only, besides ``esoclcp`` and the numpy it needs.
+Printed: one line per set (digest, problem count, report count, name), then
+the total.  Two trees whose totals agree generated byte-identical problems
+and wrote byte-identical reports on every set.  Standard library only,
+besides ``esoclcp`` and the numpy it needs.
 """
 
 from __future__ import annotations
@@ -39,6 +49,7 @@ import sys
 from pathlib import Path
 
 METHODS = ("lm", "newton")
+SECOND_RNG_SEED = 5
 
 
 def declared_sets():
@@ -72,26 +83,28 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str((args.checkout / "src").resolve()))
 
-    from esoclcp import SolverOptions, lm_solve, newton_solve, solve_esoclcp
+    from esoclcp import SolverOptions, lm_solve, newton_solve, serialize_problem, solve_esoclcp
     from esoclcp.fileio import serialize_report
 
     single_start = {"lm": lm_solve, "newton": newton_solve}
+    runs = [(SolverOptions(method=method), solve)
+            for method in METHODS for solve in (solve_esoclcp, single_start[method])]
+    runs += [(SolverOptions(method=method, rng_seed=SECOND_RNG_SEED), solve_esoclcp) for method in METHODS]
+
+    def report_text(solve, prob, opts):
+        try:
+            return serialize_report(solve(prob, opts), opts)
+        except Exception as exc:  # noqa: BLE001 - digested, not hidden
+            return f"{type(exc).__name__}: {exc}\n"
+
     total = hashlib.sha256()
     for name, problems in declared_sets():
         digest = hashlib.sha256()
-        count = 0
         for prob in problems:
-            for method in METHODS:
-                opts = SolverOptions(method=method)
-                for solve in (solve_esoclcp, single_start[method]):
-                    try:
-                        text = serialize_report(solve(prob, opts), opts)
-                    except Exception as exc:  # noqa: BLE001 - digested, not hidden
-                        text = f"{type(exc).__name__}: {exc}\n"
-                    digest.update(text.encode())
-                    total.update(text.encode())
-                    count += 1
-        print(f"{digest.hexdigest()}  {count:4d}  {name}", flush=True)
+            for text in [serialize_problem(prob)] + [report_text(solve, prob, opts) for opts, solve in runs]:
+                digest.update(text.encode())
+                total.update(text.encode())
+        print(f"{digest.hexdigest()}  {len(problems):4d} {len(problems) * len(runs):5d}  {name}", flush=True)
     print(f"{total.hexdigest()}  total")
     return 0
 
