@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DimensionMismatch
-from .linalg import as_vector
+from .linalg import _norm, as_vector
 from .record import Record, ValueRecord
 
 DEFAULT_TOL = 1e-9
@@ -108,7 +108,7 @@ def in_esoc(z: PointZ, tol: float = DEFAULT_TOL) -> bool:
     """Membership in L: min_i x_i >= ||u|| - tol*(1 + ||u||)."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    nu = np.linalg.norm(z.u)
+    nu = _norm(z.u)
     return bool(z.x.min() >= nu - tol * (1.0 + nu))
 
 
@@ -116,17 +116,27 @@ def in_esoc_dual(z: PointZ, tol: float = DEFAULT_TOL) -> bool:
     """Membership in M: e'x >= ||u|| - tol*(1 + ||u||) and min_i x_i >= -tol."""
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    nu = np.linalg.norm(z.u)
+    nu = _norm(z.u)
     return bool(z.x.sum() >= nu - tol * (1.0 + nu) and z.x.min() >= -tol)
+
+
+def _pair_norms(z: PointZ, w: PointZ, tol: float):
+    """(||u||, ||v||, ||z||, ||w||, e'y) if the pair passes comp_pair_check at tol, else None."""
+    if tol < 0:
+        raise ValueError("tol must be non-negative")
+    nu, nv = _norm(z.u), _norm(w.u)
+    ety = w.x.sum()
+    if not (z.x.min() >= nu - tol * (1.0 + nu) and ety >= nv - tol * (1.0 + nv) and w.x.min() >= -tol):
+        return None
+    za, wa = z.to_array(), w.to_array()
+    nz, nw = _norm(za), _norm(wa)
+    return (nu, nv, nz, nw, ety) if abs(za @ wa) <= tol * (1.0 + nz * nw) else None
 
 
 def comp_pair_check(z: PointZ, w: PointZ, tol: float = DEFAULT_TOL) -> bool:
     """True iff z in L, w in M and |<z, w>| <= tol*(1 + ||z||*||w||)."""
     _check_same_dims(z, w)
-    if not (in_esoc(z, tol) and in_esoc_dual(w, tol)):
-        return False
-    za, wa = z.to_array(), w.to_array()
-    return bool(abs(za @ wa) <= tol * (1.0 + np.linalg.norm(za) * np.linalg.norm(wa)))
+    return _pair_norms(z, w, tol) is not None
 
 
 def orthant_comp_violation(a, b) -> float:
@@ -139,7 +149,7 @@ def orthant_comp_violation(a, b) -> float:
         raise DimensionMismatch(f"length mismatch: {av.size} vs {bv.size}")
     neg_a = max(0.0, -av.min()) / (1.0 + np.abs(av).max(initial=0.0))
     neg_b = max(0.0, -bv.min()) / (1.0 + np.abs(bv).max(initial=0.0))
-    cross = abs(av @ bv) / (1.0 + np.linalg.norm(av) * np.linalg.norm(bv))
+    cross = abs(av @ bv) / (1.0 + _norm(av) * _norm(bv))
     return float(max(neg_a, neg_b, cross))
 
 
@@ -148,23 +158,23 @@ def classify_pair(z: PointZ, w: PointZ, tol: float = DEFAULT_TOL):
 
     Returns (case, certificate); the certificate is present only for the
     GENERAL case.  NOT_COMPLEMENTARY exactly when comp_pair_check fails at
-    the same tolerance.  When both norm parts vanish the pair is reported
-    as U_ZERO.
+    the same tolerance: both run one test (_pair_norms), whose norms decide
+    the shape.  When both norm parts vanish the pair is reported as U_ZERO.
     """
     _check_same_dims(z, w)
-    if not comp_pair_check(z, w, tol):
+    norms = _pair_norms(z, w, tol)
+    if norms is None:
         return PairCase.NOT_COMPLEMENTARY, None
-    nu = np.linalg.norm(z.u)
-    if nu <= tol * (1.0 + np.linalg.norm(z.to_array())):
+    nu, nv, nz, nw, ety = norms
+    if nu <= tol * (1.0 + nz):
         return PairCase.U_ZERO, None
-    nv = np.linalg.norm(w.u)
-    if nv <= tol * (1.0 + np.linalg.norm(w.to_array())):
+    if nv <= tol * (1.0 + nw):
         return PairCase.V_ZERO, None
     y, v = w.x, w.u
-    lam = float(y.sum() / nu)
+    lam = float(ety / nu)
     violation = max(
         np.abs(v + lam * z.u).max() / (1.0 + nv),
-        abs(y.sum() - nv) / (1.0 + nv),
+        abs(ety - nv) / (1.0 + nv),
         orthant_comp_violation(z.x - nu, y),
     )
     return PairCase.GENERAL, CertificateIII(lambda_=lam, max_violation=float(violation))

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import as_matrix
+from .linalg import _norm, as_matrix
 from .reformulation import AugmentedPoint, LcpProblem
 
 # Subgradient element selected at exactly degenerate pairs (a, b) = (0, 0).
@@ -49,7 +49,7 @@ def fb_pair(a, b, out=None):
     """
     rad = np.hypot(a, b)
     psi = np.subtract(rad, a + b, out=out)
-    degenerate = None if np.logical_and.reduce(rad) else rad == 0.0
+    degenerate = None if np.count_nonzero(rad) == rad.size else rad == 0.0
     safe = rad if degenerate is None else np.where(degenerate, 1.0, rad)
     d_a = a / safe
     d_a -= 1.0
@@ -93,14 +93,19 @@ class FbKernel:
     def __init__(self, prob: LcpProblem):
         k, l = prob.dims.k, prob.dims.l
         m = k + l
-        A, B = prob.A, prob.B
+        A = prob.A
         self.prob = prob
         self.k, self.m = k, m
         self.T, self.r = prob.T, prob.r
         self.C, self.D, self.q = prob.C, prob.D, prob.q
-        self.top = np.hstack([A, B, A.sum(axis=1)[:, None]])
-        self.eAB = np.concatenate([A.sum(axis=0), B.sum(axis=0), [0.0]])
-        self.CD = np.hstack([prob.T[k:], np.zeros((l, 1))])
+        # [A | B | A e] over [C | D | 0], and [e'A | e'B | 0]; sums go straight in.
+        rows = np.zeros((m, m + 1))
+        rows[:, :m] = prob.T
+        np.add.reduce(A, 1, out=rows[:k, m])
+        self.top, self.CD = rows[:k], rows[k:]
+        self.eAB = np.zeros(m + 1)
+        np.add.reduce(A, 0, out=self.eAB[:k])
+        np.add.reduce(prob.B, 0, out=self.eAB[k:m])
         self.Ce = self.C.sum(axis=1)
         self.eAe = A.sum()
         self.eye_l = np.eye(l)
@@ -133,7 +138,7 @@ class FbKernel:
         k, m = self.k, self.m
         u, t = w[k:m], w[m]
         x, _, ety, d_a, d_b = aux
-        jac = np.empty((m + 1, m + 1))
+        jac = np.zeros((m + 1, m + 1))  # the t row's xhat part stays zero
         np.multiply(d_b[:, None], self.top, out=jac[:k])
         np.multiply(u[:, None], self.eAB, out=jac[k:m])
         self.d_a[:] = d_a
@@ -143,7 +148,6 @@ class FbKernel:
         eq = jac[k:m]
         eq += t * self.CD
         jac[k:m, m] = self.C @ x + t * self.Ce + self.eAe * u + self.D @ u + self.q
-        jac[m, :k] = 0.0
         jac[m, k:m] = -2.0 * u
         jac[m, m] = 2.0 * t
         return jac
@@ -157,14 +161,16 @@ class FbKernel:
         residual index.
         """
         grad = self.jacobian(w, aux).T @ res
-        if not float(np.abs(grad).max()) <= tol * (1.0 + float(np.linalg.norm(res))):
+        if not np.maximum.reduce(np.abs(grad)) <= tol * (1.0 + _norm(res)):
             return False
         try:
             self.prob.lu_A
         except SingularMatrix:
             return False
+        # Each test fails on a NaN, which its reduction passes on.
         xhat, y = w[: self.k], aux[1]
-        return bool(((xhat >= -eps) & (y >= -eps) & (np.abs(xhat * y) <= eps)).all())
+        return bool(np.minimum.reduce(xhat) >= -eps and np.minimum.reduce(y) >= -eps
+                    and np.maximum.reduce(np.abs(xhat * y)) <= eps)
 
 
 def fb_residual(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:

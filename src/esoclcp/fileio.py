@@ -68,11 +68,18 @@ def _is_numbers(value) -> bool:
     return type(value) is list and all(type(v) in (int, float) for v in value)
 
 
-def _numbers(data: dict, key: str) -> list:
+def _floats(value: list, key: str) -> np.ndarray:
+    try:
+        return np.array(value, dtype=float)
+    except OverflowError:  # an integer too large for a float
+        raise ValueError(f'field "{key}" must hold numbers within the float range') from None
+
+
+def _numbers(data: dict, key: str) -> np.ndarray:
     value = _require(data, key)
     if not _is_numbers(value):
         raise ValueError(f'field "{key}" must be a list of numbers')
-    return value
+    return _floats(value, key)
 
 
 def _loads(text: str) -> dict:
@@ -93,7 +100,7 @@ def parse_problem(text: str) -> LcpProblem:
     rows = _require(data, "T")
     if type(rows) is not list or not all(map(_is_numbers, rows)) or len(set(map(len, rows))) > 1:
         raise ValueError('field "T" must be a list of equal-length lists of numbers')
-    return LcpProblem(dims, np.array(rows, dtype=float), _numbers(data, "r"))
+    return LcpProblem(dims, _floats(rows, "T"), _numbers(data, "r"))
 
 
 def serialize_solution(dims: EsocDims, z: PointZ) -> str:

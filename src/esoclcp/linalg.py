@@ -89,7 +89,7 @@ def as_vector(v, name="vector"):
     arr = np.asarray(v, dtype=float)
     if arr.ndim != 1:
         raise DimensionMismatch(f"{name}: expected 1-d, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
+    if not np.logical_and.reduce(np.isfinite(arr), None):
         raise ValueError(f"{name}: entries must be finite")
     return arr
 
@@ -102,6 +102,12 @@ def as_matrix(m, name="matrix"):
     if not np.isfinite(arr).all():
         raise ValueError(f"{name}: entries must be finite")
     return arr
+
+
+def _norm(x: np.ndarray) -> float:
+    """np.linalg.norm of a 1-d float64 array, bit for bit (its ravel and sqrt(x.dot(x))), as a float."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 class LuFactors(NamedTuple):

@@ -112,6 +112,8 @@ class AugmentedPoint(Record):
         object.__setattr__(self, "xhat", as_vector(xhat, "xhat"))
         object.__setattr__(self, "u", as_vector(u, "u"))
         object.__setattr__(self, "t", float(t))
+        if not np.isfinite(self.t):
+            raise ValueError("t: must be finite")
 
     @property
     def dims(self) -> EsocDims:
@@ -125,8 +127,10 @@ class AugmentedPoint(Record):
         arr = as_vector(arr, "arr")
         if arr.shape != (dims.m + 1,):
             raise ValueError(f"expected length {dims.m + 1}, got {arr.shape[0]}")
-        k = dims.k
-        return cls(arr[:k], arr[k : dims.m], arr[dims.m])
+        point = object.__new__(cls)  # checked whole, so its parts skip __init__'s checks
+        for name, value in zip(cls.__slots__, (arr[: dims.k], arr[dims.k : dims.m], float(arr[dims.m]))):
+            object.__setattr__(point, name, value)
+        return point
 
 
 def affine_map(prob: LcpProblem, z: PointZ) -> PointZ:

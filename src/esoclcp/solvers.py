@@ -37,7 +37,7 @@ import numpy as np
 from .cones import PairCase, PointZ, classify_pair
 from .errors import EsoclcpError, SingularMatrix
 from .fbsystem import FbKernel
-from .linalg import _factor, dgetrs, lu_factor, lu_solve
+from .linalg import _factor, _norm, dgetrs, lu_factor, lu_solve
 from .record import Record, ValueRecord
 from .reformulation import AugmentedPoint, LcpProblem, affine_map, recover_solution
 
@@ -147,15 +147,18 @@ class SolveReport(Record):
 
 
 class _RawSolve(Record):
-    __slots__ = ("status", "x", "norm", "iterations", "history")
+    """One engine run; a converged one keeps its last residual call's (res, aux) at x."""
+
+    __slots__ = ("status", "x", "norm", "iterations", "history", "last")
 
     def __init__(self, status: SolveStatus, x: np.ndarray, norm: float, iterations: int,
-                 history: list[float]):
+                 history: list[float], last: tuple | None = None):
         object.__setattr__(self, "status", status)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "norm", norm)
         object.__setattr__(self, "iterations", iterations)
         object.__setattr__(self, "history", history)
+        object.__setattr__(self, "last", last)
 
 
 def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
@@ -186,7 +189,7 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     damping = None if newton else opts.mu * np.eye(x.size)
     while True:
         if norm <= opts.residual_tol:
-            return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history)
+            return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history, (res, aux))
         if k >= opts.max_iter:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
         jac = jac_fn(x, aux)
@@ -219,7 +222,9 @@ def _resolve_start(opts: SolverOptions, prob: LcpProblem) -> np.ndarray:
     """opts.start as an (xhat, u, t) array."""
     if opts.start is None:
         k, l = prob.dims.k, prob.dims.l
-        return np.concatenate([np.ones(k), np.ones(l) / np.sqrt(l), [1.0]])
+        start = np.ones(k + l + 1)
+        start[k : k + l] = 1.0 / math.sqrt(l)
+        return start
     if opts.start.dims != prob.dims:
         raise ValueError(f"start dims {opts.start.dims} do not match problem {prob.dims}")
     return opts.start.to_array()
@@ -278,21 +283,16 @@ _PAIR_LABEL = {
 
 
 def _accept(kernel: FbKernel, raw, point, label, recovered) -> SolveReport:
-    """Converged report at point; raw is None for an enumerated root, which
-    took no iterations, so its history is its own residual norm."""
-    arr = point.to_array()
-    res, aux = kernel.residual(arr)
-    norm = float(np.abs(res).max())
-    return SolveReport(
-        status=SolveStatus.CONVERGED,
-        point=point,
-        residual_norm=norm,
-        iterations=0 if raw is None else raw.iterations,
-        residual_history=[norm] if raw is None else raw.history,
-        case_label=label,
-        certified=kernel.certified(arr, res, aux),
-        recovered=recovered,
-    )
+    """Converged report at point: raw.x, whose final residual call (raw.last)
+    it reuses, or an enumerated root (raw is None), evaluated here; that took
+    no iterations, so its history is its own residual norm."""
+    if raw is None:
+        arr = point.to_array()
+        last = kernel.residual(arr)
+        norm = float(np.abs(last[0]).max())
+        raw = _RawSolve(SolveStatus.CONVERGED, arr, norm, 0, [norm], last)
+    return SolveReport(SolveStatus.CONVERGED, point, raw.norm, raw.iterations, raw.history, label,
+                       kernel.certified(raw.x, *raw.last), recovered)
 
 
 def _unsolved(prob: LcpProblem, raw: _RawSolve) -> SolveReport:
@@ -353,7 +353,7 @@ def _reduced_candidates(prob: LcpProblem):
         return
     for x in lcp_roots(M, r):
         u = -lu_solve(lu_D, C @ x + q)
-        t = float(np.linalg.norm(u))
+        t = _norm(u)
         if t < math.inf:  # else u overflowed
             yield None, AugmentedPoint(x - t, u, t), PointZ(x, u)
 

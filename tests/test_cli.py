@@ -248,6 +248,37 @@ def test_solve_rejects_mistyped_problem_fields(key, value, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+# An integer written out in digits that no float can hold.
+HUGE = int("1" + "0" * 400)
+
+
+@pytest.mark.parametrize("key", ["T", "r"])
+def test_solve_reports_integers_beyond_the_float_range_as_field_errors(key, tmp_path, capsys):
+    data = json.loads(serialize_problem(example_problem()))
+    if key == "T":
+        data["T"][0][0] = HUGE
+    else:
+        data["r"][0] = HUGE
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["solve", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f'error: field "{key}" must hold numbers within the float range')
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["x", "u"])
+def test_verify_reports_integers_beyond_the_float_range_as_field_errors(key, tmp_path, capsys):
+    data = {"k": 3, "l": 2, "x": [1, 1, 1], "u": [0, 0]}
+    data[key][0] = -HUGE
+    path = tmp_path / "huge.solution"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    assert main(["verify", "example-paper", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f'error: field "{key}" must hold numbers within the float range')
+    assert "Traceback" not in err
+
+
 def test_verify_rejects_fractional_solution_dims(tmp_path, capsys):
     path = tmp_path / "bad.solution"
     path.write_text('{"k": 3.9, "l": 2, "x": [1, 1, 1], "u": [0, 0]}', encoding="utf-8")

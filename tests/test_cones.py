@@ -9,10 +9,12 @@ from esoclcp import (
     EsocDims,
     PairCase,
     PointZ,
+    affine_map,
     classify_pair,
     comp_pair_check,
     in_esoc,
     in_esoc_dual,
+    make_instance,
     orthant_comp_violation,
 )
 
@@ -175,3 +177,72 @@ def test_classify_pair_rejects_non_complementary():
     w = PointZ(np.array([1.0, 1.0]), np.array([1.0, 1.0]))
     case, cert = classify_pair(z, w)
     assert case is PairCase.NOT_COMPLEMENTARY and cert is None
+
+
+def _reference_classify(z, w, tol):
+    """classify_pair as first written: comp_pair_check through in_esoc and
+    in_esoc_dual, every norm by np.linalg.norm, recomputed where used."""
+    def in_l(p):
+        nu = np.linalg.norm(p.u)
+        return p.x.min() >= nu - tol * (1.0 + nu)
+
+    def in_m(p):
+        nu = np.linalg.norm(p.u)
+        return p.x.sum() >= nu - tol * (1.0 + nu) and p.x.min() >= -tol
+
+    za, wa = z.to_array(), w.to_array()
+    if not (in_l(z) and in_m(w) and abs(za @ wa) <= tol * (1.0 + np.linalg.norm(za) * np.linalg.norm(wa))):
+        return PairCase.NOT_COMPLEMENTARY, None
+    nu = np.linalg.norm(z.u)
+    if nu <= tol * (1.0 + np.linalg.norm(za)):
+        return PairCase.U_ZERO, None
+    nv = np.linalg.norm(w.u)
+    if nv <= tol * (1.0 + np.linalg.norm(wa)):
+        return PairCase.V_ZERO, None
+    y, v, a = w.x, w.u, z.x - nu
+    lam = float(y.sum() / nu)
+    orthant = max(
+        max(0.0, -a.min()) / (1.0 + np.abs(a).max()),
+        max(0.0, -y.min()) / (1.0 + np.abs(y).max()),
+        abs(a @ y) / (1.0 + np.linalg.norm(a) * np.linalg.norm(y)),
+    )
+    violation = max(np.abs(v + lam * z.u).max() / (1.0 + nv), abs(y.sum() - nv) / (1.0 + nv), float(orthant))
+    return PairCase.GENERAL, (lam, float(violation))
+
+
+def _pairs():
+    """Planted solution pairs of every case, the same nudged at several
+    scales, pairs with u = 0 or v = 0, and random pairs."""
+    rng = np.random.default_rng(16)
+    pairs = []
+    for case in ("vi", "i", "ii"):
+        for seed in range(200, 215):
+            inst = make_instance(case, 1 + seed % 5, 1 + seed % 3, seed)
+            z = inst.solution
+            pairs.append((z, affine_map(inst.problem, z)))
+            for scale in (1e-12, 1e-9, 1e-7, 1e-5):
+                nudged = PointZ(z.x + scale * rng.standard_normal(z.x.size), z.u)
+                pairs.append((nudged, affine_map(inst.problem, nudged)))
+    for k, l in ((1, 1), (2, 3), (4, 2)):
+        for _ in range(10):
+            x, u = rng.uniform(0.0, 2.0, k), rng.uniform(-1.0, 1.0, l)
+            y, v = rng.uniform(0.0, 2.0, k), rng.uniform(-1.0, 1.0, l)
+            pairs.append((PointZ(x, np.zeros(l)), PointZ(np.where(x > 1.0, 0.0, y), v)))
+            pairs.append((PointZ(x + np.linalg.norm(u), u), PointZ(y, np.zeros(l))))
+            pairs.append((PointZ(rng.uniform(-1.0, 2.0, k), u), PointZ(rng.uniform(-1.0, 2.0, k), v)))
+    return pairs
+
+
+def test_classify_pair_is_not_complementary_exactly_when_comp_pair_check_fails():
+    pairs = _pairs()
+    seen = set()
+    for tol in (0.0, 1e-9, 1e-6, 1e-3):
+        for z, w in pairs:
+            case, cert = classify_pair(z, w, tol)
+            seen.add(case)
+            assert (case is PairCase.NOT_COMPLEMENTARY) is (not comp_pair_check(z, w, tol))
+            ref_case, ref_cert = _reference_classify(z, w, tol)
+            assert case is ref_case
+            if cert is not None:
+                assert (cert.lambda_, cert.max_violation) == ref_cert
+    assert seen == set(PairCase)

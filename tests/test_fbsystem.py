@@ -369,6 +369,24 @@ def test_kernel_matches_reference_bit_for_bit_with_zeros():
                 assert _same_bits(kernel.jacobian(w.to_array(), aux), want_jac), f"k={k} l={l} trial {trial}"
 
 
+@pytest.mark.parametrize("k", [8, 9, 13, 16])
+@pytest.mark.parametrize("l", [1, 3])
+def test_kernel_matches_reference_bit_for_bit_from_eight_orthant_rows(k, l):
+    # From eight entries numpy sums pairwise and may order a reduction by
+    # memory layout (one sum over the rows of [A | B] differs from the sums
+    # over A and B here), so each of the kernel's row and column sums must
+    # be the reference's own reduction.
+    rng = np.random.default_rng(131 + k + l)
+    for trial in range(12):
+        prob = random_problem(rng, k, l)
+        w = AugmentedPoint(rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, l), rng.uniform(0.1, 2.0))
+        kernel = FbKernel(prob)
+        res, aux = kernel.residual(w.to_array())
+        want_res, want_jac = _reference_fb(prob, w)
+        assert _same_bits(res, want_res), f"trial {trial}"
+        assert _same_bits(kernel.jacobian(w.to_array(), aux), want_jac), f"trial {trial}"
+
+
 def test_certify_solution_validates_its_tolerances(example):
     # Checked up front, also where the point is not stationary.
     start = AugmentedPoint(np.ones(3), np.ones(2) / np.sqrt(2.0), 1.0)

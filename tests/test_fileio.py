@@ -146,6 +146,28 @@ def test_parse_solution_checks_field_types(key, value):
         parse_solution(solution_text_with(key, value))
 
 
+# An integer written out in digits that no float can hold.
+HUGE = int("1" + "0" * 400)
+
+
+@pytest.mark.parametrize("key", ["T", "r"])
+def test_parse_problem_rejects_integers_beyond_the_float_range(key):
+    data = json.loads(serialize_problem(example_problem()))
+    if key == "T":
+        data["T"][1][2] = HUGE
+    else:
+        data["r"][3] = -HUGE
+    with pytest.raises(ValueError, match=f'field "{key}" must hold numbers within the float range'):
+        parse_problem(json.dumps(data))
+
+
+@pytest.mark.parametrize("key", ["x", "u"])
+def test_parse_solution_rejects_integers_beyond_the_float_range(key):
+    value = {"x": [1.0, HUGE, 3.0], "u": [0.5, -HUGE]}[key]
+    with pytest.raises(ValueError, match=f'field "{key}" must hold numbers within the float range'):
+        parse_solution(solution_text_with(key, value))
+
+
 def test_integer_valued_lists_still_parse():
     prob = parse_problem(problem_text_with("r", [1, 0, -2, 0, 1]))
     assert prob.r.tolist() == [1.0, 0.0, -2.0, 0.0, 1.0]

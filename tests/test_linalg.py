@@ -1,5 +1,6 @@
 """Dense LU, Schur complement, and finite-difference oracle tests."""
 
+import math
 import subprocess
 import sys
 
@@ -246,3 +247,35 @@ def test_lapack_load_falls_back_to_scipy_linalg(monkeypatch):
         lu, piv = scipy.linalg.lu_factor(m)
         assert f.lu.tobytes() == lu.tobytes() and np.array_equal(f.piv, piv), f"n={n}"
         assert lu_solve(f, b).tobytes() == scipy.linalg.lu_solve((lu, piv), b).tobytes(), f"n={n}"
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def test_norm_helper_is_numpy_norm_byte_for_byte():
+    rng = np.random.default_rng(16)
+    vectors = [rng.standard_normal(n) * 10.0 ** rng.integers(-150, 150) for n in range(40)]
+    vectors += [v[::3] for v in vectors] + [v[::-1] for v in vectors]  # strided views
+    tiny = np.nextafter(0.0, 1.0)
+    vectors += [
+        np.zeros(5),
+        np.full(4, tiny),
+        np.array([1e-310, -3e-320, 2.5e-308]),
+        np.array([1e200, 1.0]),
+        np.full(3, -1e200),
+        np.array([1.0, np.nan, 2.0]),
+        np.array([-np.nan]),
+        np.array([np.inf, 1.0]),
+        np.array([-np.inf, np.nan]),
+    ]
+    with np.errstate(over="ignore"):
+        for v in vectors:
+            got = linalg._norm(v)
+            assert type(got) is float
+            assert _bits(got) == _bits(np.linalg.norm(v)), v
+        assert linalg._norm(np.array([1e200, 1.0])) == math.inf
+    # The same overflow warning as numpy's, which tier-1 turns into an error.
+    for norm in (linalg._norm, np.linalg.norm):
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            norm(np.full(3, 1e200))

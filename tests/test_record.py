@@ -49,7 +49,7 @@ SIGNATURES = {
         "recovered: 'PointZ | None' = None)"
     ),
     _RawSolve: "(status: 'SolveStatus', x: 'np.ndarray', norm: 'float', iterations: 'int', "
-    "history: 'list[float]')",
+    "history: 'list[float]', last: 'tuple | None' = None)",
     IndexSets: "(comp: 'frozenset', res: 'frozenset', pos: 'frozenset', neg: 'frozenset')",
     RegularityVerdict: (
         "(kind: 'RegularityKind', reason: 'str', index_sets: 'IndexSets | None' = None, "

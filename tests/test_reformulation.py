@@ -137,6 +137,14 @@ def test_jacobian_blocks_match_finite_differences():
     assert worst <= 1e-6, f"worst block mismatch {worst:.3e}"
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf, -np.inf])
+def test_augmented_point_rejects_non_finite_t(t):
+    with pytest.raises(ValueError, match="t: must be finite"):
+        AugmentedPoint(np.zeros(2), np.ones(2), t)
+    with pytest.raises(ValueError, match="entries must be finite"):
+        AugmentedPoint.from_array(EsocDims(2, 2), [0.0, 0.0, 1.0, 1.0, t])
+
+
 def test_recover_solution_basics():
     w = AugmentedPoint(np.zeros(2), np.array([3.0, 4.0]), 5.0)
     z = recover_solution(w)

@@ -12,6 +12,7 @@ from esoclcp import (
     LcpProblem,
     PairCase,
     PointZ,
+    SolveReport,
     SolveStatus,
     SolverOptions,
     affine_map,
@@ -19,6 +20,7 @@ from esoclcp import (
     case_ii_check,
     classify_pair,
     comp_pair_check,
+    example_problem,
     lm_solve,
     make_instance,
     newton_solve,
@@ -26,6 +28,7 @@ from esoclcp import (
 )
 import esoclcp.solvers as solvers
 from esoclcp.fbsystem import FbKernel
+from esoclcp.fileio import serialize_report
 from esoclcp.solvers import ENUM_MAX_K, _iterate, _resolve_start, lcp_roots
 
 
@@ -525,3 +528,23 @@ def test_every_answer_is_labelled_by_its_pair(case):
             assert rep.case_label is solvers._PAIR_LABEL[shape], (case, seed)
             checked += 1
     assert checked >= 51
+
+
+# The example and vi seeds whose answers come from augmented runs: from the
+# default start, from a later start (207, 235), uncertified (214, 250 under
+# lm) and labelled CASE_II (201).
+@pytest.mark.parametrize("seed", [None, 200, 201, 207, 214, 233, 235, 250])
+@pytest.mark.parametrize("method", ["lm", "newton"])
+def test_answer_accepted_from_the_last_evaluation_matches_a_fresh_one(seed, method):
+    prob = example_problem() if seed is None else make_instance("vi", *_declared_dims(seed), seed).problem
+    opts = SolverOptions(method=method)
+    rep = solve_esoclcp(prob, opts)
+    assert rep.status is SolveStatus.CONVERGED and rep.iterations > 0
+    kernel = FbKernel(prob)
+    arr = rep.point.to_array()
+    res, aux = kernel.residual(arr)
+    fresh = SolveReport(rep.status, rep.point, float(np.abs(res).max()), rep.iterations, rep.residual_history,
+                        rep.case_label, kernel.certified(arr, res, aux), rep.recovered)
+    assert fresh.residual_norm.hex() == rep.residual_norm.hex() == rep.residual_history[-1].hex()
+    assert fresh.certified is rep.certified
+    assert serialize_report(fresh, opts) == serialize_report(rep, opts)
