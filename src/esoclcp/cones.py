@@ -104,26 +104,28 @@ def _check_same_dims(z: PointZ, w: PointZ):
         )
 
 
+def _check_tol(tol):
+    if not 0 <= tol < np.inf:  # a NaN fails too
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
+
+
 def in_esoc(z: PointZ, tol: float = DEFAULT_TOL) -> bool:
     """Membership in L: min_i x_i >= ||u|| - tol*(1 + ||u||)."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     nu = _norm(z.u)
     return bool(z.x.min() >= nu - tol * (1.0 + nu))
 
 
 def in_esoc_dual(z: PointZ, tol: float = DEFAULT_TOL) -> bool:
     """Membership in M: e'x >= ||u|| - tol*(1 + ||u||) and min_i x_i >= -tol."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     nu = _norm(z.u)
     return bool(z.x.sum() >= nu - tol * (1.0 + nu) and z.x.min() >= -tol)
 
 
 def _pair_norms(z: PointZ, w: PointZ, tol: float):
     """(||u||, ||v||, ||z||, ||w||, e'y) if the pair passes comp_pair_check at tol, else None."""
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
+    _check_tol(tol)
     nu, nv = _norm(z.u), _norm(w.u)
     ety = w.x.sum()
     if not (z.x.min() >= nu - tol * (1.0 + nu) and ety >= nv - tol * (1.0 + nv) and w.x.min() >= -tol):

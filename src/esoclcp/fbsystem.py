@@ -5,14 +5,16 @@ folded into the smooth-away-from-zero function psi(a, b) = sqrt(a^2 + b^2)
 - (a + b), which vanishes exactly on the complementary pairs.  Stacking
 psi over the k orthant pairs followed by the equality residual gives a
 square system of size m + 1 whose zeros are the augmented solutions.
-FbKernel evaluates that system on raw arrays for the solvers' inner loop;
-fb_residual and fb_jacobian are its validating entry points, and
-certify_solution is the regularity certificate an answer must pass.
+FbKernel.evaluate gives a point's residual, Jacobian and image T z + r in
+one pass; fb_residual, fb_jacobian and certify_solution, the regularity
+certificate an answer must pass, are its validating views.
 The merit and the full regularity test, which asks s0_check for its
 advisory, are in `theory`.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 
@@ -81,14 +83,14 @@ class FbKernel:
     Built once per problem, it holds the blocks of T and r and the constant
     pieces of the Jacobian: the psi rows' [A | B | A e], the equality rows'
     [e'A | e'B | 0] and [C | D | 0], C e and e'Ae.  A point is the array
-    (xhat, u, t) of length m + 1; nothing is validated here.  residual
-    returns the stacked residual with the intermediates (x, y, e'y, d_a,
-    d_b) that jacobian takes at the same point, so T z + r is evaluated
-    once per point.  The arithmetic is that of the reference formulas
-    theory.f_comp, theory.f_eq and theory.jacobian_blocks, operation for
-    operation.  jacobian rewrites the kernel's diagonal-terms buffer on
-    every call, so a kernel serves one thread at a time.
+    (xhat, u, t) of length m + 1; nothing is validated here.  evaluate
+    does the arithmetic of the reference formulas theory.f_comp, theory.f_eq
+    and theory.jacobian_blocks, operation for operation, and rewrites the
+    kernel's diagonal-terms buffer, so a kernel serves one thread at a time.
     """
+
+    # fb_residual, which drops the Jacobian, silences the Jacobian's warnings.
+    _jacobian_errstate = contextlib.nullcontext()
 
     def __init__(self, prob: LcpProblem):
         k, l = prob.dims.k, prob.dims.l
@@ -113,8 +115,14 @@ class FbKernel:
         self.diag, self.d_a = diagonal_terms(m, m + 1, k)
         self.ety_eye = self.diag[k:, k:m]
 
-    def residual(self, w: np.ndarray):
-        """(psi(xhat, y), t v + (e'y) u, t^2 - ||u||^2) and the intermediates."""
+    def evaluate(self, w: np.ndarray):
+        """(res, jac, img) at w: the residual, its Jacobian and img = T z + r.
+
+        Rows are filled whole, so every pass is contiguous.  The equality
+        rows are u [e'A | e'B] + [0 | (e'y) I] + t [C | D], the terms of
+        theory.jacobian_blocks in the same order, each sum with its operands
+        swapped; their last column is then overwritten with the t column.
+        """
         k, m = self.k, self.m
         xhat, u, t = w[:k], w[k:m], w[m]
         z = np.concatenate([xhat + t, u])
@@ -125,42 +133,30 @@ class FbKernel:
         _, d_a, d_b = fb_pair(xhat, y, out=res[:k])
         res[k:m] = t * v + u * ety
         res[m] = t * t - u @ u
-        return res, (z[:k], y, ety, d_a, d_b)
+        with self._jacobian_errstate:
+            jac = np.zeros((m + 1, m + 1))  # the t row's xhat part stays zero
+            np.multiply(d_b[:, None], self.top, out=jac[:k])
+            np.multiply(u[:, None], self.eAB, out=jac[k:m])
+            self.d_a[:] = d_a
+            np.multiply(ety, self.eye_l, out=self.ety_eye)
+            rows = jac[:m]
+            rows += self.diag
+            eq = jac[k:m]
+            eq += t * self.CD
+            jac[k:m, m] = self.C @ z[:k] + t * self.Ce + self.eAe * u + self.D @ u + self.q
+            jac[m, k:m] = -2.0 * u
+            jac[m, m] = 2.0 * t
+        return res, jac, img
 
-    def jacobian(self, w: np.ndarray, aux) -> np.ndarray:
-        """Jacobian at w, given the intermediates residual returned for w.
-
-        Rows are filled whole, so every pass is contiguous.  The equality
-        rows are u [e'A | e'B] + [0 | (e'y) I] + t [C | D], the terms of
-        theory.jacobian_blocks in the same order, each sum with its operands
-        swapped; their last column is then overwritten with the t column.
-        """
-        k, m = self.k, self.m
-        u, t = w[k:m], w[m]
-        x, _, ety, d_a, d_b = aux
-        jac = np.zeros((m + 1, m + 1))  # the t row's xhat part stays zero
-        np.multiply(d_b[:, None], self.top, out=jac[:k])
-        np.multiply(u[:, None], self.eAB, out=jac[k:m])
-        self.d_a[:] = d_a
-        np.multiply(ety, self.eye_l, out=self.ety_eye)
-        rows = jac[:m]
-        rows += self.diag
-        eq = jac[k:m]
-        eq += t * self.CD
-        jac[k:m, m] = self.C @ x + t * self.Ce + self.eAe * u + self.D @ u + self.q
-        jac[m, k:m] = -2.0 * u
-        jac[m, m] = 2.0 * t
-        return jac
-
-    def certified(self, w: np.ndarray, res: np.ndarray, aux, eps: float = 1e-6, tol: float = 1e-3) -> bool:
-        """certify_solution at w, given residual(w); nothing is validated.
+    def certified(self, w: np.ndarray, res, jac, y, eps: float = 1e-6, tol: float = 1e-3) -> bool:
+        """certify_solution at w, given evaluate(w)'s res, jac and img[:k] = y; nothing is validated.
 
         w is stationary for the merit (J'F zero to tol, relative to
         1 + ||F||), A is nonsingular and every orthant pair is
         complementary within eps, which is theory.index_sets with no
         residual index.
         """
-        grad = self.jacobian(w, aux).T @ res
+        grad = jac.T @ res
         if not np.maximum.reduce(np.abs(grad)) <= tol * (1.0 + _norm(res)):
             return False
         try:
@@ -168,7 +164,7 @@ class FbKernel:
         except SingularMatrix:
             return False
         # Each test fails on a NaN, which its reduction passes on.
-        xhat, y = w[: self.k], aux[1]
+        xhat = w[: self.k]
         return bool(np.minimum.reduce(xhat) >= -eps and np.minimum.reduce(y) >= -eps
                     and np.maximum.reduce(np.abs(xhat * y)) <= eps)
 
@@ -176,7 +172,9 @@ class FbKernel:
 def fb_residual(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
     """Stacked residual: psi over the (xhat_i, f_comp_i) pairs, then f_eq."""
     _check_dims(prob, w)
-    return FbKernel(prob).residual(w.to_array())[0]
+    kernel = FbKernel(prob)
+    kernel._jacobian_errstate = np.errstate(all="ignore")  # warns as the residual alone
+    return kernel.evaluate(w.to_array())[0]
 
 
 def fb_jacobian(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
@@ -186,9 +184,7 @@ def fb_jacobian(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
     exactly degenerate pair gets the fixed slope DEGENERATE_SLOPE.
     """
     _check_dims(prob, w)
-    kernel = FbKernel(prob)
-    arr = w.to_array()
-    return kernel.jacobian(arr, kernel.residual(arr)[1])
+    return FbKernel(prob).evaluate(w.to_array())[1]
 
 
 def s0_check(m) -> bool:
@@ -219,9 +215,7 @@ def s0_check(m) -> bool:
     return bool(result.status == 0)
 
 
-def certify_solution(
-    prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6, tol: float = 1e-3
-) -> bool:
+def certify_solution(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6, tol: float = 1e-3) -> bool:
     """True iff w is stationary for the merit and certified Regular.
 
     That is the decidable branch of theory.fb_regularity_check: A nonsingular and
@@ -229,10 +223,10 @@ def certify_solution(
     point is simply not certified.
     """
     _check_dims(prob, w)
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    for name, value in (("tol", tol), ("eps", eps)):
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and positive, got {value}")
     kernel = FbKernel(prob)
     arr = w.to_array()
-    return kernel.certified(arr, *kernel.residual(arr), eps, tol)
+    res, jac, img = kernel.evaluate(arr)
+    return kernel.certified(arr, res, jac, img[: kernel.k], eps, tol)

@@ -1,13 +1,14 @@
 """Newton and Levenberg-Marquardt iterations on the FB system, plus the
 case-dispatch pipeline for the full cone problem.
 
-All iterations share one engine: evaluate the residual, stop when its
-sup-norm is at or below the tolerance, otherwise take a full step from
+All iterations share one engine: evaluate a point's residual and Jacobian
+in one call (FbKernel.evaluate), stop when the residual's sup-norm is at
+or below the tolerance, otherwise take a full step from
 either the Newton system J d = -F or the damped normal equations
 (J^T J + mu I) d = -J^T F.  No line search; a divergence guard aborts runs
 whose residual grows a million-fold over the best seen, and a step matrix
 that fails the pivot test ends the run as SingularJacobian under either
-method.
+method.  A converged run's last evaluation also checks and certifies it.
 
 The pipeline is one loop over one stream of candidates: those of the
 augmented smooth system (multi-start), then those of the two degenerate
@@ -18,7 +19,7 @@ either, exactly: it enumerates the complementary supports (lcp_roots).
 It runs up to k = ENUM_MAX_K; above it the branches are not searched.
 One rule accepts and labels every candidate, whichever its source: its
 pair (z, T z + r) must be complementary (classify_pair), and the shape of
-that pair gives its case label.
+that pair gives its case label.  Only an enumerated root is evaluated anew.
 
 newton_solve and lm_solve run the augmented system from opts.start alone
 and accept through the same loop; a run that converged to a rejected
@@ -147,7 +148,7 @@ class SolveReport(Record):
 
 
 class _RawSolve(Record):
-    """One engine run; a converged one keeps its last residual call's (res, aux) at x."""
+    """One engine run; a converged one keeps its last evaluation (res, jac, img) at x."""
 
     __slots__ = ("status", "x", "norm", "iterations", "history", "last")
 
@@ -161,13 +162,13 @@ class _RawSolve(Record):
         object.__setattr__(self, "last", last)
 
 
-def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
+def _iterate(evaluate, x0, opts: SolverOptions) -> _RawSolve:
     """Shared Newton/LM engine over a plain vector of unknowns.
 
-    res_fn(x) returns the residual and the intermediates that jac_fn(x, aux)
-    takes to build the Jacobian at the same point.  x is never changed in
-    place, so the best iterate is kept by reference.  The running minimum
-    of the residual norm is best_norm, which the divergence guard uses.
+    evaluate(x) returns the residual, the Jacobian and the image at x
+    (FbKernel.evaluate).  x is never changed in place, so the best iterate
+    is kept by reference.  The running minimum of the residual norm is
+    best_norm, which the divergence guard uses.
 
     A step factors J or J^T J + mu I with linalg._factor and solves with
     dgetrs: lu_solve(lu_factor(...))'s bits without its per-call checks.
@@ -177,7 +178,7 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     whose cause the run's status already reports.
     """
     x = np.array(x0, dtype=float)
-    res, aux = res_fn(x)
+    res, jac, _ = last = evaluate(x)
     # One pass: a NaN or inf entry makes the max non-finite.
     norm = float(np.maximum.reduce(np.abs(res)))
     history = [norm]
@@ -189,10 +190,9 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
     damping = None if newton else opts.mu * np.eye(x.size)
     while True:
         if norm <= opts.residual_tol:
-            return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history, (res, aux))
+            return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history, last)
         if k >= opts.max_iter:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
-        jac = jac_fn(x, aux)
         try:
             if newton:
                 lu, piv = _factor(jac, "jacobian")
@@ -206,7 +206,7 @@ def _iterate(res_fn, jac_fn, x0, opts: SolverOptions) -> _RawSolve:
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
         d, _ = dgetrs(lu, piv, rhs)
         x = x + d
-        res, aux = res_fn(x)
+        res, jac, _ = last = evaluate(x)
         norm = float(np.maximum.reduce(np.abs(res)))
         if not math.isfinite(norm):
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
@@ -283,16 +283,17 @@ _PAIR_LABEL = {
 
 
 def _accept(kernel: FbKernel, raw, point, label, recovered) -> SolveReport:
-    """Converged report at point: raw.x, whose final residual call (raw.last)
-    it reuses, or an enumerated root (raw is None), evaluated here; that took
+    """Converged report at point: raw.x, whose last evaluation (raw.last) it
+    certifies, or an enumerated root (raw is None), evaluated here; that took
     no iterations, so its history is its own residual norm."""
     if raw is None:
         arr = point.to_array()
-        last = kernel.residual(arr)
+        last = kernel.evaluate(arr)
         norm = float(np.abs(last[0]).max())
         raw = _RawSolve(SolveStatus.CONVERGED, arr, norm, 0, [norm], last)
+    res, jac, img = raw.last
     return SolveReport(SolveStatus.CONVERGED, point, raw.norm, raw.iterations, raw.history, label,
-                       kernel.certified(raw.x, *raw.last), recovered)
+                       kernel.certified(raw.x, res, jac, img[: kernel.k]), recovered)
 
 
 def _unsolved(prob: LcpProblem, raw: _RawSolve) -> SolveReport:
@@ -318,7 +319,7 @@ def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKerne
     """Yield (raw, point, z) for each converged run from starts whose point
     recover_solution maps to z; every run is appended to runs."""
     for start in starts:
-        raw = _iterate(kernel.residual, kernel.jacobian, start, opts)
+        raw = _iterate(kernel.evaluate, start, opts)
         runs.append(raw)
         if raw.status is not SolveStatus.CONVERGED:
             continue
@@ -363,7 +364,8 @@ def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> 
     reduced, that passes the one acceptance rule; failing that, the report
     of the best augmented run.  The rule: the pair (z, T z + r) is finite
     and complementary, its shape is the case label, and the augmented
-    residual passes the tolerance.
+    residual passes the tolerance.  An augmented candidate's T z + r is its
+    run's last img (its z is xhat + t, as there).
 
     The whole solve ignores numpy's overflow and invalid-value warnings:
     data near the float range overflows the kernel's constants, the runs,
@@ -375,7 +377,7 @@ def _first_answer(prob: LcpProblem, opts: SolverOptions, starts, reduced=()) -> 
         augmented = _augmented_candidates(prob, opts, kernel, starts, runs)
         for raw, point, z in itertools.chain(augmented, reduced):
             try:
-                w = affine_map(prob, z)
+                w = affine_map(prob, z) if raw is None else PointZ.from_array(prob.dims, raw.last[2])
             except ValueError:  # T z + r overflowed
                 continue
             case, _ = classify_pair(z, w, ACCEPT_TOL)

@@ -119,6 +119,20 @@ def test_verify_zero_u_candidate_classification(tmp_path, capsys):
     assert "lambda:" not in text
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_rejects_a_non_finite_tolerance(tol, tmp_path, capsys):
+    # x = (100, -5, 7), u = (40, 40) is far from complementary (inner
+    # product 2.6e5); an infinite tolerance used to accept it as U_ZERO.
+    path = tmp_path / "far.solution"
+    path.write_text('{"k": 3, "l": 2, "x": [100, -5, 7], "u": [40, 40]}', encoding="utf-8")
+    assert main(["verify", "example-paper", str(path), "--tol", "1e-6"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "example-paper", str(path), "--tol", tol]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be finite and non-negative, got {tol}\n"
+
+
 def test_verify_dims_mismatch_is_usage_error(tmp_path, capsys):
     out = tmp_path / "prob.json"
     main(["gen", "--k", "3", "--l", "2", "--out", str(out)])

@@ -133,6 +133,20 @@ def test_certificate_requires_positive_multiplier():
         CertificateIII(lambda_=-1.0, max_violation=0.0)
 
 
+@pytest.mark.parametrize("tol", [-1e-9, float("inf"), float("-inf"), float("nan")])
+def test_tolerance_must_be_finite_and_non_negative(tol):
+    # An infinite tolerance would accept every point and pair, a NaN one
+    # would pass the old sign test unnoticed.
+    z = PointZ(np.array([100.0, -5.0, 7.0]), np.array([40.0, 40.0]))
+    message = rf"^tol must be finite and non-negative, got {tol}$"
+    for check in (in_esoc, in_esoc_dual):
+        with pytest.raises(ValueError, match=message):
+            check(z, tol)
+    for check in (comp_pair_check, classify_pair):
+        with pytest.raises(ValueError, match=message):
+            check(z, z, tol)
+
+
 def test_classify_pair_u_zero():
     z = PointZ(np.array([1.0, 0.0]), np.zeros(2))
     w = PointZ(np.array([0.0, 3.0]), np.zeros(2))

@@ -1,5 +1,7 @@
 """Fischer-Burmeister residual, Jacobian, merit, index sets, regularity."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,11 +9,14 @@ from esoclcp import (
     AugmentedPoint,
     EsocDims,
     LcpProblem,
+    PointZ,
     RegularityKind,
     SingularMatrix,
     SolverOptions,
     TooLarge,
+    affine_map,
     certify_solution,
+    example_problem,
     f_comp,
     f_eq,
     fb_jacobian,
@@ -244,6 +249,11 @@ def _reference_fb(prob, w):
     return np.concatenate([psi_fb(w.xhat, y), f_eq(prob, w)]), jac
 
 
+def _reference_image(prob, w):
+    """T z + r at the point's z = (xhat + t, u), as affine_map gives it."""
+    return affine_map(prob, PointZ(w.xhat + w.t, w.u)).to_array()
+
+
 def test_kernel_matches_reformulation_reference():
     # Bitwise: the kernel does the reference's operations in the same order.
     rng = np.random.default_rng(97)
@@ -253,11 +263,11 @@ def test_kernel_matches_reformulation_reference():
             kernel = FbKernel(prob)
             for trial in range(3):
                 w = AugmentedPoint(rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, l), rng.uniform(0.1, 2.0))
-                arr = w.to_array()
-                res, aux = kernel.residual(arr)
+                res, jac, img = kernel.evaluate(w.to_array())
                 want_res, want_jac = _reference_fb(prob, w)
                 assert np.array_equal(res, want_res), f"k={k} l={l} trial {trial}"
-                assert np.array_equal(kernel.jacobian(arr, aux), want_jac), f"k={k} l={l} trial {trial}"
+                assert np.array_equal(jac, want_jac), f"k={k} l={l} trial {trial}"
+                assert _same_bits(img, _reference_image(prob, w)), f"k={k} l={l} trial {trial}"
                 assert np.array_equal(fb_residual(prob, w), want_res)
                 assert np.array_equal(fb_jacobian(prob, w), want_jac)
 
@@ -277,10 +287,10 @@ def test_kernel_degenerate_pair_matches_reference():
         xhat[0] = 0.0
         w = AugmentedPoint(xhat, rng.uniform(-1.0, 1.0, l), t)
         assert f_comp(prob, w)[0] == 0.0
-        res, aux = FbKernel(prob).residual(w.to_array())
+        res, jac, img = FbKernel(prob).evaluate(w.to_array())
         want_res, want_jac = _reference_fb(prob, w)
-        jac = FbKernel(prob).jacobian(w.to_array(), aux)
         assert np.array_equal(res, want_res) and np.array_equal(jac, want_jac), f"k={k} l={l}"
+        assert _same_bits(img, _reference_image(prob, w)), f"k={k} l={l}"
         assert jac[0, 0] == DEGENERATE_SLOPE + DEGENERATE_SLOPE * T[0, 0]
 
 
@@ -362,11 +372,11 @@ def test_kernel_matches_reference_bit_for_bit_with_zeros():
                     u[0] = 0.0
                 prob = LcpProblem(EsocDims(k, l), T, r, allow_singular=True)
                 w = AugmentedPoint(xhat, u, t)
-                kernel = FbKernel(prob)
-                res, aux = kernel.residual(w.to_array())
+                res, jac, img = FbKernel(prob).evaluate(w.to_array())
                 want_res, want_jac = _reference_fb(prob, w)
                 assert _same_bits(res, want_res), f"k={k} l={l} trial {trial}"
-                assert _same_bits(kernel.jacobian(w.to_array(), aux), want_jac), f"k={k} l={l} trial {trial}"
+                assert _same_bits(jac, want_jac), f"k={k} l={l} trial {trial}"
+                assert _same_bits(img, _reference_image(prob, w)), f"k={k} l={l} trial {trial}"
 
 
 @pytest.mark.parametrize("k", [8, 9, 13, 16])
@@ -380,11 +390,11 @@ def test_kernel_matches_reference_bit_for_bit_from_eight_orthant_rows(k, l):
     for trial in range(12):
         prob = random_problem(rng, k, l)
         w = AugmentedPoint(rng.uniform(-1.0, 1.0, k), rng.uniform(-1.0, 1.0, l), rng.uniform(0.1, 2.0))
-        kernel = FbKernel(prob)
-        res, aux = kernel.residual(w.to_array())
+        res, jac, img = FbKernel(prob).evaluate(w.to_array())
         want_res, want_jac = _reference_fb(prob, w)
         assert _same_bits(res, want_res), f"trial {trial}"
-        assert _same_bits(kernel.jacobian(w.to_array(), aux), want_jac), f"trial {trial}"
+        assert _same_bits(jac, want_jac), f"trial {trial}"
+        assert _same_bits(img, _reference_image(prob, w)), f"trial {trial}"
 
 
 def test_certify_solution_validates_its_tolerances(example):
@@ -394,3 +404,74 @@ def test_certify_solution_validates_its_tolerances(example):
     for bad in ({"eps": 0.0}, {"tol": 0.0}, {"eps": -1.0}):
         with pytest.raises(ValueError):
             certify_solution(example, start, **bad)
+    # Infinite tolerances used to certify any point, this one included.
+    for name in ("eps", "tol"):
+        for value in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got {value}$"):
+                certify_solution(example, start, **{name: value})
+
+
+# Data on which the views' arithmetic overflows, and the warnings each view
+# writes, in order: those of the pieces it returns, although every view
+# evaluates the residual and the Jacobian.  So fb_residual writes none of
+# the Jacobian's warnings; on "jacobian only" the residual is finite and
+# only the Jacobian overflows.
+def _overflow_cases():
+    ex = example_problem()
+    yield ("jacobian only",
+           LcpProblem(EsocDims(1, 1), np.diag([-1.5e308, 1.0]), np.zeros(2), allow_singular=True),
+           AugmentedPoint([0.25], [0.5], 0.25),
+           [], ["over multiply"], ["over multiply", "over matmul", "over dot"])
+    yield ("image",
+           LcpProblem(EsocDims(3, 2), 1e300 * ex.T, ex.r, allow_singular=True),
+           AugmentedPoint(1e10 * np.ones(3), np.ones(2), 1.0),
+           ["over matmul", "invalid matmul", "invalid reduce", "invalid subtract", "invalid divide"],
+           ["over matmul", "invalid matmul", "invalid reduce", "invalid subtract", "invalid divide",
+            "over matmul"],
+           ["over matmul", "invalid matmul", "invalid reduce", "invalid subtract", "invalid divide",
+            "over matmul"])
+    yield ("t = 1e200", ex, AugmentedPoint(np.ones(3), np.ones(2), 1e200),
+           ["over multiply", "over scalar multiply"],
+           ["over multiply", "over scalar multiply"],
+           ["over multiply", "over scalar multiply", "invalid matmul", "over dot"])
+    yield ("kernel constants",
+           LcpProblem(EsocDims(2, 1), 1e308 * np.eye(3), np.ones(3), allow_singular=True),
+           AugmentedPoint(np.ones(2), np.ones(1), 1.0),
+           ["over reduce", "over matmul", "invalid subtract", "invalid divide"],
+           ["over reduce", "over matmul", "invalid subtract", "invalid divide"],
+           ["over reduce", "over matmul", "invalid subtract", "invalid divide"])
+    yield ("orthant image",
+           LcpProblem(EsocDims(2, 2), np.diag([-1e308, -1e308, 1e308, 1.0]), np.zeros(4), allow_singular=True),
+           AugmentedPoint([0.5, 0.5], [0.5, 0.5], 0.9),
+           ["over reduce", "over reduce", "over subtract"],
+           ["over reduce", "over reduce", "over subtract", "over multiply", "invalid multiply"],
+           ["over reduce", "over reduce", "over subtract", "over multiply", "invalid multiply",
+            "invalid matmul"])
+
+
+def _short(warning):
+    return str(warning).replace(" value encountered in", "").replace("overflow encountered in", "over")
+
+
+def _warnings_of(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args)
+    assert all(c.category is RuntimeWarning for c in caught)
+    return [_short(c.message) for c in caught]
+
+
+@pytest.mark.parametrize("case", list(_overflow_cases()), ids=lambda case: case[0])
+def test_views_warn_for_what_they_return(case):
+    _, prob, w, residual, jacobian, certificate = case
+    for fn, want in ((fb_residual, residual), (fb_jacobian, jacobian), (certify_solution, certificate)):
+        assert _warnings_of(fn, prob, w) == want, fn.__name__
+        # Where warnings are errors, as in these tests, the first one raises.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if want:
+                with pytest.raises(RuntimeWarning) as info:
+                    fn(prob, w)
+                assert _short(info.value) == want[0], fn.__name__
+            else:
+                fn(prob, w)

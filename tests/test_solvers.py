@@ -18,6 +18,7 @@ from esoclcp import (
     affine_map,
     case_i_check,
     case_ii_check,
+    certify_solution,
     classify_pair,
     comp_pair_check,
     example_problem,
@@ -406,7 +407,7 @@ def test_singular_lm_normal_matrix_ends_only_that_run():
     inst = make_instance("vi", 4, 1, 3)
     opts = SolverOptions(mu=0.0)
     kernel = FbKernel(inst.problem)
-    raw = _iterate(kernel.residual, kernel.jacobian, _resolve_start(opts, inst.problem), opts)
+    raw = _iterate(kernel.evaluate, _resolve_start(opts, inst.problem), opts)
     assert (raw.status, raw.iterations) == (SolveStatus.SINGULAR_JACOBIAN, 14)
     rep = solve_esoclcp(inst.problem, opts)
     assert rep.status is SolveStatus.CONVERGED
@@ -542,9 +543,38 @@ def test_answer_accepted_from_the_last_evaluation_matches_a_fresh_one(seed, meth
     assert rep.status is SolveStatus.CONVERGED and rep.iterations > 0
     kernel = FbKernel(prob)
     arr = rep.point.to_array()
-    res, aux = kernel.residual(arr)
+    res, jac, img = kernel.evaluate(arr)
     fresh = SolveReport(rep.status, rep.point, float(np.abs(res).max()), rep.iterations, rep.residual_history,
-                        rep.case_label, kernel.certified(arr, res, aux), rep.recovered)
+                        rep.case_label, kernel.certified(arr, res, jac, img[:kernel.k]), rep.recovered)
     assert fresh.residual_norm.hex() == rep.residual_norm.hex() == rep.residual_history[-1].hex()
     assert fresh.certified is rep.certified
     assert serialize_report(fresh, opts) == serialize_report(rep, opts)
+
+
+@pytest.mark.parametrize("method", ["lm", "newton"])
+def test_augmented_answers_check_and_certify_from_the_last_evaluation(monkeypatch, method):
+    # Over the vi seeds 200-250 (the benchmark's dims), every augmented
+    # answer's pair image is its run's last img, which must be affine_map's
+    # bits, and its certificate, made from the run's last Jacobian, must be
+    # a fresh certify_solution's verdict.
+    accepted = []
+    accept = solvers._accept
+
+    def spy(kernel, raw, point, label, recovered):
+        report = accept(kernel, raw, point, label, recovered)
+        if raw is not None:
+            accepted.append((raw.last[2], report))
+        return report
+
+    monkeypatch.setattr(solvers, "_accept", spy)
+    opts = SolverOptions(method=method)
+    for seed in range(200, 251):
+        prob = make_instance("vi", *_declared_dims(seed), seed).problem
+        rep = solve_esoclcp(prob, opts)
+        if rep.status is SolveStatus.CONVERGED and rep.iterations > 0:
+            img, answer = accepted[-1]
+            assert answer is rep
+            assert img.tobytes() == affine_map(prob, rep.recovered).to_array().tobytes(), seed
+            assert rep.certified is certify_solution(prob, rep.point), seed
+    assert len(accepted) >= 40
+    assert any(answer.certified for _, answer in accepted)
