@@ -556,9 +556,11 @@ def test_augmented_answers_check_and_certify_from_the_last_evaluation(monkeypatc
     # Over the vi seeds 200-250 (the benchmark's dims), every augmented
     # answer's pair image is its run's last img, which must be affine_map's
     # bits, and its certificate, made from the run's last Jacobian, must be
-    # a fresh certify_solution's verdict.
+    # a fresh certify_solution's verdict.  The pipeline calls affine_map
+    # only for enumerated roots, which come after the augmented candidates.
     accepted = []
     accept = solvers._accept
+    mapped = []
 
     def spy(kernel, raw, point, label, recovered):
         report = accept(kernel, raw, point, label, recovered)
@@ -567,13 +569,15 @@ def test_augmented_answers_check_and_certify_from_the_last_evaluation(monkeypatc
         return report
 
     monkeypatch.setattr(solvers, "_accept", spy)
+    monkeypatch.setattr(solvers, "affine_map", lambda prob, z: mapped.append(z) or affine_map(prob, z))
     opts = SolverOptions(method=method)
     for seed in range(200, 251):
         prob = make_instance("vi", *_declared_dims(seed), seed).problem
+        mapped.clear()
         rep = solve_esoclcp(prob, opts)
         if rep.status is SolveStatus.CONVERGED and rep.iterations > 0:
             img, answer = accepted[-1]
-            assert answer is rep
+            assert answer is rep and mapped == [], seed
             assert img.tobytes() == affine_map(prob, rep.recovered).to_array().tobytes(), seed
             assert rep.certified is certify_solution(prob, rep.point), seed
     assert len(accepted) >= 40
