@@ -19,7 +19,7 @@ import contextlib
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import _norm, as_matrix
+from .linalg import LuWorkspace, _norm, as_matrix
 from .reformulation import AugmentedPoint, LcpProblem
 
 # Subgradient element selected at exactly degenerate pairs (a, b) = (0, 0).
@@ -29,6 +29,11 @@ DEGENERATE_SLOPE = 1.0 / np.sqrt(2.0) - 1.0
 def _check_dims(prob: LcpProblem, w: AugmentedPoint):
     if w.dims != prob.dims:
         raise DimensionMismatch(f"point dims {w.dims} do not match problem dims {prob.dims}")
+
+
+def _check_positive(name: str, value: float):
+    if not 0 < value < np.inf:  # a NaN fails too
+        raise ValueError(f"{name} must be finite and positive, got {value}")
 
 
 def psi_fb(a, b):
@@ -86,7 +91,8 @@ class FbKernel:
     (xhat, u, t) of length m + 1; nothing is validated here.  evaluate
     does the arithmetic of the reference formulas theory.f_comp, theory.f_eq
     and theory.jacobian_blocks, operation for operation, and rewrites the
-    kernel's diagonal-terms buffer, so a kernel serves one thread at a time.
+    kernel's diagonal-terms buffer, as the Newton/LM step rewrites its LU
+    workspace `lu`, so a kernel serves one thread at a time.
     """
 
     # fb_residual, which drops the Jacobian, silences the Jacobian's warnings.
@@ -114,6 +120,7 @@ class FbKernel:
         # diag(d_a) in the psi rows and (e'y) I in the equality rows' D block.
         self.diag, self.d_a = diagonal_terms(m, m + 1, k)
         self.ety_eye = self.diag[k:, k:m]
+        self.lu = LuWorkspace(m + 1)
 
     def evaluate(self, w: np.ndarray):
         """(res, jac, img) at w: the residual, its Jacobian and img = T z + r.
@@ -223,9 +230,8 @@ def certify_solution(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6, tol
     point is simply not certified.
     """
     _check_dims(prob, w)
-    for name, value in (("tol", tol), ("eps", eps)):
-        if not 0 < value < np.inf:
-            raise ValueError(f"{name} must be finite and positive, got {value}")
+    _check_positive("tol", tol)
+    _check_positive("eps", eps)
     kernel = FbKernel(prob)
     arr = w.to_array()
     res, jac, img = kernel.evaluate(arr)

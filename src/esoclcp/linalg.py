@@ -5,25 +5,26 @@ test-time ground truth for the analytic derivatives, are in `theory`.
 Everything here works on plain float64 numpy arrays.  The wrappers add the
 two guarantees the rest of the package relies on: inputs are finite, and
 nonsingularity is an explicit verdict (SingularMatrix) instead of a warning
-or a silently garbage solve.  Both come from one core, `_factor` (finite
-check, dgetrf, pivot test), which the solvers' Newton/LM step also calls,
-with dgetrs, on the float64 matrix it builds, skipping lu_factor's checks.
+or a silently garbage solve.  Both come from one core, LuWorkspace.factor
+(finite check, dgetrf, pivot test), which lu_factor and the solvers'
+Newton/LM step and support enumeration share.  A workspace holds one
+order's buffers and its prebuilt LAPACK arguments, so a step that reuses
+it allocates nothing for the LU.
 
-The LU calls LAPACK dgetrf/dgetrs from scipy's compiled Fortran extension
-`scipy.linalg._flapack`.  Importing it through `scipy.linalg.lapack` would
-import all of `scipy.linalg`, most of a cold command's time, so the
-extension file is loaded directly from scipy's install directory (or taken
-from `sys.modules` when scipy has already loaded it).  These are the very
-routines `scipy.linalg.lapack` exports, so the results are the same bits.
-If the direct load fails for any reason, for instance a scipy release that
-moves or renames the private extension, the routines come from
-`scipy.linalg.lapack` after all.
+The LU is LAPACK dgetrf/dgetrs, called through ctypes on Fortran-ordered
+buffers.  The routines come from the OpenBLAS library that scipy's wheel
+ships in `scipy.libs` (its LP64 symbols scipy_dgetrf_/scipy_dgetrs_), the
+very routines `scipy.linalg.lapack` wraps, so the results are the same
+bits; the library is found without importing scipy, and neither
+`scipy.linalg` nor its LAPACK extension is loaded.  Where that wheel
+layout is absent, the routines' addresses come from the capsules that
+`scipy.linalg.cython_lapack` exports.  LAPACK_SOURCE names the source
+this process bound.
 """
 
-import importlib.machinery
+import ctypes
 import importlib.util
 import math
-import sys
 from pathlib import Path
 from typing import NamedTuple
 
@@ -31,52 +32,58 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix
 
-_FLAPACK = "scipy.linalg._flapack"
 
+def _openblas_routines():
+    """(source, dgetrf's address, dgetrs's address) in the OpenBLAS library
+    of scipy's wheel, located without importing scipy.
 
-def _flapack_extension():
-    """scipy's compiled LAPACK extension, loaded without importing scipy.
-
-    Raises ImportError when scipy or the extension file cannot be found or
-    loaded.
+    Raises ImportError or OSError when scipy, the library or its symbols
+    cannot be found or loaded.
     """
-    module = sys.modules.get(_FLAPACK)
-    if module is not None:
-        return module
     # find_spec of a top-level name locates the package without importing it.
     spec = importlib.util.find_spec("scipy")
     if spec is None or not spec.submodule_search_locations:
         raise ImportError("scipy is not installed as a package")
-    linalg_dir = Path(spec.submodule_search_locations[0], "linalg")
-    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
-        path = linalg_dir / f"_flapack{suffix}"
-        if path.is_file():
-            break
-    else:
-        raise ImportError(f"no _flapack extension in {linalg_dir}")
-    # Loaded under scipy's own module name: the interpreter records the
-    # extension in sys.modules under it, so a later `import scipy.linalg`
-    # reuses this module instead of loading the file a second time.
-    loader = importlib.machinery.ExtensionFileLoader(_FLAPACK, str(path))
-    module = importlib.util.module_from_spec(
-        importlib.util.spec_from_file_location(_FLAPACK, path, loader=loader)
-    )
-    loader.exec_module(module)
-    return module
+    libs = Path(spec.submodule_search_locations[0]).parent / "scipy.libs"
+    for path in sorted(libs.glob("libscipy_openblas*")):
+        lib = ctypes.CDLL(str(path))
+        if hasattr(lib, "scipy_dgetrf_") and hasattr(lib, "scipy_dgetrs_"):
+            getrf = ctypes.cast(lib.scipy_dgetrf_, ctypes.c_void_p).value
+            return f"scipy.libs/{path.name}", getrf, ctypes.cast(lib.scipy_dgetrs_, ctypes.c_void_p).value
+    raise ImportError(f"no LP64 scipy_openblas library in {libs}")
 
 
-def _load_getrf_getrs():
-    """LAPACK dgetrf and dgetrs, directly from the extension if possible."""
+def _capsule_routines():
+    """(source, dgetrf's address, dgetrs's address) from the capsules of
+    scipy.linalg.cython_lapack."""
+    from scipy.linalg import cython_lapack
+
+    # Fresh function objects: setting argtypes on the shared ctypes.pythonapi
+    # attributes would change them for every other user.
+    get_name, get_pointer = ctypes.pythonapi["PyCapsule_GetName"], ctypes.pythonapi["PyCapsule_GetPointer"]
+    get_name.restype, get_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
+    get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
+    capsules = [cython_lapack.__pyx_capi__[name] for name in ("dgetrf", "dgetrs")]
+    return ("scipy.linalg.cython_lapack", *(get_pointer(capsule, get_name(capsule)) for capsule in capsules))
+
+
+def _bind(getrf: int, getrs: int):
+    """Callables for the routines at these addresses.  They take no
+    argtypes: each call passes on LuWorkspace's prebuilt references
+    unconverted (declared argtypes cost 1-2 us more per call)."""
+    return ctypes.CFUNCTYPE(None)(getrf), ctypes.CFUNCTYPE(None)(getrs)
+
+
+def _lapack_routines():
     try:
-        flapack = _flapack_extension()
-        return flapack.dgetrf, flapack.dgetrs
-    except (ImportError, OSError, AttributeError):
-        from scipy.linalg.lapack import dgetrf, dgetrs
-
-        return dgetrf, dgetrs
+        return _openblas_routines()
+    except (ImportError, OSError):
+        return _capsule_routines()
 
 
-dgetrf, dgetrs = _load_getrf_getrs()
+LAPACK_SOURCE, *_addresses = _lapack_routines()
+_dgetrf, _dgetrs = _bind(*_addresses)
+_TRANS_N = ctypes.byref(ctypes.c_char(b"N"))
 
 # A pivot is declared zero when it is at most this fraction of the largest
 # input entry.  The reformulation assumes nonsingular T, A, D but gives no
@@ -122,23 +129,62 @@ class LuFactors(NamedTuple):
     n: int
 
 
-def _factor(a: np.ndarray, name: str):
-    """dgetrf's (lu, piv) of a nonempty square float64 matrix, raising as
-    lu_factor does; the reductions skip the ndarray methods' wrappers."""
-    # One pass serves the finite check (a NaN or inf reaches the max) and
-    # the scale of the pivot threshold.
-    scale = np.maximum.reduce(np.abs(a), None)
-    if not math.isfinite(scale):
-        raise ValueError(f"{name}: entries must be finite")
-    lu, piv, _ = dgetrf(a)
-    pivot = np.minimum.reduce(np.abs(lu.diagonal()))
-    threshold = PIVOT_RTOL * scale
-    if pivot <= threshold:
-        raise SingularMatrix(
-            f"{name} is singular to working precision "
-            f"(pivot {pivot:.3e} <= {threshold:.3e})"
-        )
-    return lu, piv
+class LuWorkspace:
+    """Buffers and prebuilt LAPACK arguments for LU solves of order n >= 1.
+
+    Write the matrix into `a` (Fortran order) and call factor, which
+    overwrites it with the packed factors and `piv` with dgetrf's 1-based
+    pivots; then write the right-hand side into `b` (length n, or n x cols
+    in Fortran order when cols is given) and call solve, which overwrites
+    b with the solution and returns it.  The buffers are reused by every
+    call, so a workspace serves one thread at a time.
+    """
+
+    __slots__ = ("a", "b", "piv", "_ints", "_getrf_args", "_getrs_args")
+
+    def __init__(self, n: int, cols: int | None = None):
+        width = 1 if cols is None else cols
+        # Two buffers: a then b, and n, width, LAPACK's info code and the
+        # pivots.  Every LAPACK argument is a pointer, as Fortran passes
+        # them, here a byref reference into a buffer; the sizes follow from n
+        # and width, so the routines stay in bounds.  (A ctypes array type
+        # per size would cost more: ctypes caches those types only while an
+        # instance lives.)
+        floats = np.empty(n * (n + width))
+        ints = np.zeros(3 + n, dtype=np.intc)
+        ints[0], ints[1] = n, width
+        self.a = floats[: n * n].reshape((n, n), order="F")
+        self.b = floats[n * n :] if cols is None else floats[n * n :].reshape((n, cols), order="F")
+        self._ints, self.piv = ints, ints[3:]
+        float_ref, int_ref = ctypes.c_char.from_buffer(floats), ctypes.c_char.from_buffer(ints)
+        n_p, width_p, info_p, piv_p = [ctypes.byref(int_ref, i * ints.itemsize) for i in range(4)]
+        a_p, b_p = ctypes.byref(float_ref), ctypes.byref(float_ref, n * n * floats.itemsize)
+        self._getrf_args = (n_p, n_p, a_p, n_p, piv_p, info_p)
+        self._getrs_args = (_TRANS_N, n_p, width_p, a_p, n_p, piv_p, b_p, n_p, info_p)
+
+    def factor(self, name: str) -> None:
+        """LU-factor `a` in place, raising as lu_factor does; the reductions
+        skip the ndarray methods' wrappers."""
+        a = self.a
+        # One pass serves the finite check (a NaN or inf reaches the max) and
+        # the scale of the pivot threshold.  It must precede dgetrf, which
+        # overwrites a.
+        scale = np.maximum.reduce(np.abs(a), None)
+        if not math.isfinite(scale):
+            raise ValueError(f"{name}: entries must be finite")
+        _dgetrf(*self._getrf_args)
+        pivot = np.minimum.reduce(np.abs(a.diagonal()))
+        threshold = PIVOT_RTOL * scale
+        if pivot <= threshold:
+            raise SingularMatrix(
+                f"{name} is singular to working precision "
+                f"(pivot {pivot:.3e} <= {threshold:.3e})"
+            )
+
+    def solve(self) -> np.ndarray:
+        """Overwrite `b` with the solution of the factored system and return it."""
+        _dgetrs(*self._getrs_args)
+        return self.b
 
 
 def lu_factor(m, name: str = "matrix") -> LuFactors:
@@ -148,6 +194,7 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
     pivot magnitude is at most PIVOT_RTOL times the largest entry of the
     input; `name` labels the matrix in both messages.  An exactly zero
     pivot, which dgetrf reports through its info code, fails the same test.
+    The pivots are 0-based, as scipy's.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -157,21 +204,40 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
     if n == 0:
         # dgetrf rejects an empty matrix; its factors are empty too.
-        lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.int32)
+        lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.intc)
     else:
-        lu, piv = _factor(a, name)
+        work = LuWorkspace(n)
+        work.a[...] = a
+        work.factor(name)
+        lu, piv = work.a, work.piv - 1
     lu.setflags(write=False)
     piv.setflags(write=False)
     return LuFactors(lu, piv, n)
 
 
 def lu_solve(f: LuFactors, b):
-    """Solve M s = b given the factorization of M (LAPACK dgetrs)."""
+    """Solve M s = b given the factorization of M (LAPACK dgetrs).
+
+    b is a vector or a matrix of right-hand-side columns.  Factors or a
+    right-hand side of the wrong shape raise DimensionMismatch, pivots out
+    of range ValueError, before LAPACK could read out of bounds.
+    """
+    n = f.n
     rhs = np.asarray(b, dtype=float)
-    if rhs.shape[0] != f.n:
-        raise DimensionMismatch(f"lu_solve: rhs has length {rhs.shape[0]}, expected {f.n}")
-    if f.n == 0:
+    piv = np.asarray(f.piv)
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
+        raise DimensionMismatch(f"lu_solve: rhs has shape {rhs.shape}, expected ({n},) or ({n}, cols)")
+    if np.shape(f.lu) != (n, n) or piv.shape != (n,):
+        raise DimensionMismatch(f"lu_solve: factors have shapes {np.shape(f.lu)} and {piv.shape}, "
+                                f"expected ({n}, {n}) and ({n},)")
+    if rhs.size == 0:
         # dgetrs rejects n = 0; the solution of an empty system is empty.
         return rhs.copy()
-    x, _ = dgetrs(f.lu, f.piv, rhs)
-    return x
+    pivots = piv.tolist()
+    if not 0 <= min(pivots) <= max(pivots) < n:
+        raise ValueError(f"lu_solve: pivots must lie in 0..{n - 1}")
+    work = LuWorkspace(n, None if rhs.ndim == 1 else rhs.shape[1])
+    work.a[...] = f.lu
+    np.add(piv, 1, out=work.piv)
+    work.b[...] = rhs
+    return work.solve()

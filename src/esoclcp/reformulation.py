@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cones import EsocDims, PointZ, orthant_comp_violation
+from .cones import EsocDims, PointZ, _check_tol, orthant_comp_violation
 from .errors import DegenerateT, InfeasibleXhat
 from .linalg import LuFactors, as_matrix, as_vector, lu_factor
 from .record import Record
@@ -162,6 +162,7 @@ def case_i_check(prob: LcpProblem, x, tol: float = 1e-6) -> bool:
     Needs (x, A x + p) complementary over the nonnegative orthant and
     e^T (A x + p) >= ||C x + q||, both up to tol relative to 1 + scale.
     """
+    _check_tol(tol)
     x = as_vector(x, "x")
     if x.shape != (prob.dims.k,):
         raise ValueError(f"x must have length {prob.dims.k}, got {x.shape[0]}")
@@ -180,6 +181,7 @@ def case_ii_check(prob: LcpProblem, z: PointZ, tol: float = 1e-6) -> bool:
     Needs C x + D u + q = 0, (x, A x + B u + p) complementary over the
     orthant, and min x >= ||u||, all up to tol relative to 1 + scale.
     """
+    _check_tol(tol)
     if z.dims != prob.dims:
         raise ValueError(f"point dims {z.dims} do not match problem dims {prob.dims}")
     x, u = z.x, z.u

@@ -38,7 +38,7 @@ import numpy as np
 from .cones import PairCase, PointZ, classify_pair
 from .errors import EsoclcpError, SingularMatrix
 from .fbsystem import FbKernel
-from .linalg import _factor, _norm, dgetrs, lu_factor, lu_solve
+from .linalg import LuWorkspace, _norm, lu_factor, lu_solve
 from .record import Record, ValueRecord
 from .reformulation import AugmentedPoint, LcpProblem, affine_map, recover_solution
 
@@ -162,21 +162,23 @@ class _RawSolve(Record):
         object.__setattr__(self, "last", last)
 
 
-def _iterate(evaluate, x0, opts: SolverOptions) -> _RawSolve:
+def _iterate(kernel: FbKernel, x0, opts: SolverOptions) -> _RawSolve:
     """Shared Newton/LM engine over a plain vector of unknowns.
 
-    evaluate(x) returns the residual, the Jacobian and the image at x
-    (FbKernel.evaluate).  x is never changed in place, so the best iterate
-    is kept by reference.  The running minimum of the residual norm is
-    best_norm, which the divergence guard uses.
+    kernel.evaluate(x) returns the residual, the Jacobian and the image at
+    x.  x is never changed in place, so the best iterate is kept by
+    reference.  The running minimum of the residual norm is best_norm,
+    which the divergence guard uses.
 
-    A step factors J or J^T J + mu I with linalg._factor and solves with
-    dgetrs: lu_solve(lu_factor(...))'s bits without its per-call checks.
-    A NaN or inf in a residual (the initial one too) or step matrix ends
-    the run Diverged, a failed pivot test SingularJacobian.  The caller
+    A step writes J or J^T J + mu I, and its right-hand side, into the
+    kernel's LU workspace and factors and solves there:
+    lu_solve(lu_factor(...))'s bits without its per-call checks and
+    allocations.  A NaN or inf in a residual (the initial one too) or step
+    matrix ends the run Diverged, a failed pivot test SingularJacobian.  The caller
     ignores numpy's overflow and invalid-value warnings (_first_answer),
     whose cause the run's status already reports.
     """
+    evaluate, work = kernel.evaluate, kernel.lu
     x = np.array(x0, dtype=float)
     res, jac, _ = last = evaluate(x)
     # One pass: a NaN or inf entry makes the max non-finite.
@@ -188,6 +190,9 @@ def _iterate(evaluate, x0, opts: SolverOptions) -> _RawSolve:
     k = 0
     newton = opts.method == "newton"
     damping = None if newton else opts.mu * np.eye(x.size)
+    # J^T J + mu I is exactly symmetric (numpy forms J^T J by a symmetric
+    # rank-k update), so written in C order it is already in Fortran order.
+    normal = work.a.T
     while True:
         if norm <= opts.residual_tol:
             return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history, last)
@@ -195,17 +200,20 @@ def _iterate(evaluate, x0, opts: SolverOptions) -> _RawSolve:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
         try:
             if newton:
-                lu, piv = _factor(jac, "jacobian")
-                rhs = -res
+                work.a[...] = jac
+                np.negative(res, out=work.b)
+                work.factor("jacobian")
             else:
-                lu, piv = _factor(jac.T @ jac + damping, "normal matrix")
-                rhs = -(jac.T @ res)
+                np.matmul(jac.T, jac, out=normal)
+                np.add(normal, damping, out=normal)
+                np.matmul(jac.T, res, out=work.b)
+                np.negative(work.b, out=work.b)
+                work.factor("normal matrix")
         except SingularMatrix:
             return _RawSolve(SolveStatus.SINGULAR_JACOBIAN, best_x, best_norm, k, history)
         except ValueError:
             return _RawSolve(SolveStatus.DIVERGED, best_x, best_norm, k, history)
-        d, _ = dgetrs(lu, piv, rhs)
-        x = x + d
+        x = x + work.solve()
         res, jac, _ = last = evaluate(x)
         norm = float(np.maximum.reduce(np.abs(res)))
         if not math.isfinite(norm):
@@ -252,22 +260,26 @@ def lcp_roots(M: np.ndarray, q: np.ndarray):
     Exact support enumeration (Cottle, Pang and Stone, The Linear
     Complementarity Problem, 1992): for each support S, by size and then
     lexicographically, solve M_SS x_S = -q_S with x = 0 off S, and yield x
-    when x and M x + q are finite and nonnegative up to ENUM_RTOL.  A
-    support whose principal block fails the pivot test is skipped, so a
-    root reachable only through singular blocks is missed, and a degenerate
-    root (some x_i = (M x + q)_i = 0) is yielded once per support that
-    reaches it.
+    when x and M x + q are finite and nonnegative up to ENUM_RTOL.  The
+    supports of one size share one LU workspace.  A support whose principal
+    block fails the pivot test is skipped, so a root reachable only through
+    singular blocks is missed, and a degenerate root (some
+    x_i = (M x + q)_i = 0) is yielded once per support that reaches it.
     """
     n = q.shape[0]
     for size in range(n + 1):
+        work = LuWorkspace(size) if size else None
         for support in itertools.combinations(range(n), size):
             x = np.zeros(n)
             if size:
                 s = list(support)
+                work.a[...] = M[s][:, s]
                 try:
-                    x[s] = lu_solve(lu_factor(M[s][:, s], name="principal block"), -q[s])
+                    work.factor("principal block")
                 except SingularMatrix:
                     continue
+                np.negative(q[s], out=work.b)
+                x[s] = work.solve()
             w = M @ x + q
             scale = np.maximum(np.abs(x).max(), np.abs(w).max())  # NaN stays NaN
             if scale < math.inf and min(x.min(), w.min()) >= -ENUM_RTOL * (1.0 + scale):
@@ -319,7 +331,7 @@ def _augmented_candidates(prob: LcpProblem, opts: SolverOptions, kernel: FbKerne
     """Yield (raw, point, z) for each converged run from starts whose point
     recover_solution maps to z; every run is appended to runs."""
     for start in starts:
-        raw = _iterate(kernel.evaluate, start, opts)
+        raw = _iterate(kernel, start, opts)
         runs.append(raw)
         if raw.status is not SolveStatus.CONVERGED:
             continue

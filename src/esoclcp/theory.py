@@ -21,7 +21,7 @@ import numpy as np
 from . import fbsystem
 from .cones import PointZ, orthant_comp_violation
 from .errors import DimensionMismatch, ShapeUnsupported, SingularMatrix, TooLarge, ZeroU
-from .fbsystem import _check_dims, fb_jacobian, fb_residual
+from .fbsystem import _check_dims, _check_positive, fb_jacobian, fb_residual
 from .linalg import as_matrix, as_vector, lu_factor, lu_solve
 from .record import Record, ValueRecord
 from .reformulation import AugmentedPoint, LcpProblem, affine_map
@@ -209,8 +209,7 @@ def grad_merit(prob: LcpProblem, w: AugmentedPoint) -> np.ndarray:
 
 def stationarity_check(prob: LcpProblem, w: AugmentedPoint, tol: float = 1e-3) -> bool:
     """Is grad_merit zero up to tol, relative to 1 + the residual norm?"""
-    if not tol > 0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    _check_positive("tol", tol)
     res = fb_residual(prob, w)
     return float(np.abs(grad_merit(prob, w)).max()) <= tol * (1.0 + float(np.linalg.norm(res)))
 
@@ -234,8 +233,7 @@ class IndexSets(ValueRecord):
 
 def index_sets(xhat, f1, eps: float = 1e-6) -> IndexSets:
     """Classify each orthant pair; see IndexSets for the rules."""
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     xhat = as_vector(xhat, "xhat")
     f1 = as_vector(f1, "f1")
     if xhat.shape != f1.shape:
@@ -287,8 +285,7 @@ def fb_regularity_check(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6) 
     branch.
     """
     _check_dims(prob, w)
-    if not eps > 0:
-        raise ValueError(f"eps must be positive, got {eps}")
+    _check_positive("eps", eps)
     try:
         prob.lu_A
     except SingularMatrix:

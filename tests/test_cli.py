@@ -202,7 +202,8 @@ def test_gen_rejects_bad_dims(capsys):
 
 
 def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():
-    # The LU routines come straight from scipy's compiled LAPACK extension,
+    # The LU routines are called through ctypes in scipy's OpenBLAS library,
+    # so neither scipy.linalg nor its f2py LAPACK extension is loaded;
     # scipy.optimize serves only the Indeterminate regularity advisory, no
     # solve runs the paper's conditions in esoclcp.theory, and a report
     # needs no JSON quoting; a fresh interpreter solving the example must
@@ -213,7 +214,7 @@ def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert main(['solve', 'example-paper', '--json']) == 0\n"
         "    assert main(['solve', 'example-paper']) == 0\n"
-        "loaded = {'scipy.linalg', 'scipy.optimize', 'esoclcp.theory', 'json'}\n"
+        "loaded = {'scipy.linalg', 'scipy.linalg._flapack', 'scipy.optimize', 'esoclcp.theory', 'json'}\n"
         "print(sorted(loaded & set(sys.modules)))\n"
     )
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)

@@ -15,6 +15,8 @@ from esoclcp import (
     SolverOptions,
     TooLarge,
     affine_map,
+    case_i_check,
+    case_ii_check,
     certify_solution,
     example_problem,
     f_comp,
@@ -409,6 +411,28 @@ def test_certify_solution_validates_its_tolerances(example):
         for value in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match=rf"^{name} must be finite and positive, got {value}$"):
                 certify_solution(example, start, **{name: value})
+
+
+# The checks that took a tolerance without asking it to be finite: at inf
+# each accepted this far-off point (or called every index complementary),
+# and at NaN the two case checks returned False.
+_TOLERANT_CHECKS = {
+    "case_i_check": ("tol", "non-negative", lambda ex, w, v: case_i_check(ex, w.xhat + w.t, tol=v)),
+    "case_ii_check": ("tol", "non-negative",
+                      lambda ex, w, v: case_ii_check(ex, PointZ(w.xhat + w.t, w.u), v)),
+    "stationarity_check": ("tol", "positive", lambda ex, w, v: stationarity_check(ex, w, tol=v)),
+    "index_sets": ("eps", "positive", lambda ex, w, v: index_sets(w.xhat, f_comp(ex, w), eps=v)),
+    "fb_regularity_check": ("eps", "positive", lambda ex, w, v: fb_regularity_check(ex, w, eps=v)),
+}
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan"), -1.0])
+@pytest.mark.parametrize("check", sorted(_TOLERANT_CHECKS))
+def test_tolerances_must_be_finite(example, check, value):
+    name, sign, call = _TOLERANT_CHECKS[check]
+    w = AugmentedPoint(np.array([97.0, -8.0, 4.0]), np.array([40.0, 40.0]), 3.0)  # x = (100, -5, 7)
+    with pytest.raises(ValueError, match=rf"^{name} must be finite and {sign}, got {value}$"):
+        call(example, w, value)
 
 
 # Data on which the views' arithmetic overflows, and the warnings each view

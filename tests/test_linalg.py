@@ -1,15 +1,15 @@
 """Dense LU, Schur complement, and finite-difference oracle tests."""
 
 import math
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
-from esoclcp import linalg
+from esoclcp import SolverOptions, linalg, make_instance
+from esoclcp.fbsystem import FbKernel
+from esoclcp.solvers import _iterate, _resolve_start
 
 from esoclcp import (
     DimensionMismatch,
@@ -84,13 +84,19 @@ def test_lu_factor_rejects_singular():
         lu_factor(sing)
 
 
+def _workspace(m):
+    work = linalg.LuWorkspace(m.shape[0])
+    work.a[...] = m
+    return work
+
+
 def _same_error(m, name, error):
-    # The solvers' step factors through linalg._factor: it must raise what
+    # The solvers' step factors in an LuWorkspace: it must raise what
     # lu_factor raises, with the same message.
     with pytest.raises(error) as boundary:
         lu_factor(m, name=name)
     with pytest.raises(error) as core:
-        linalg._factor(m, name)
+        _workspace(m).factor(name)
     assert str(core.value) == str(boundary.value)
     return str(boundary.value)
 
@@ -184,10 +190,12 @@ def test_lu_factor_matches_scipy_and_is_read_only():
         assert np.array_equal(lu_solve(f, b), scipy.linalg.lu_solve((lu, piv), b)), f"n={n}"
         assert not f.lu.flags.writeable and not f.piv.flags.writeable
         if n:
-            # The solvers' step: the pivot core, then dgetrs, same bits.
-            core_lu, core_piv = linalg._factor(m, "matrix")
-            assert core_lu.tobytes() == f.lu.tobytes() and core_piv.tobytes() == f.piv.tobytes(), f"n={n}"
-            assert linalg.dgetrs(core_lu, core_piv, -b)[0].tobytes() == lu_solve(f, -b).tobytes(), f"n={n}"
+            # The solvers' step: a workspace factors and solves, same bits.
+            work = _workspace(m)
+            work.factor("matrix")
+            assert work.a.tobytes("F") == f.lu.tobytes("F") and np.array_equal(work.piv - 1, f.piv), f"n={n}"
+            work.b[...] = -b
+            assert work.solve().tobytes() == lu_solve(f, -b).tobytes(), f"n={n}"
 
 
 def test_lu_factor_rejects_non_finite_entries_by_name():
@@ -205,48 +213,133 @@ def test_lu_factor_rejects_wrong_shapes():
             lu_factor(np.ones(shape), name="jacobian")
 
 
-def test_direct_lapack_load_matches_scipy_bitwise():
-    # esoclcp loads the LAPACK extension first, scipy.linalg second: both
-    # must use the same routines and give the same bits.
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "from esoclcp import linalg\n"
-        "assert 'scipy.linalg' not in sys.modules\n"
-        "from scipy.linalg import lapack\n"
-        "assert linalg._flapack_extension() is sys.modules['scipy.linalg._flapack']\n"
-        "rng = np.random.default_rng(5)\n"
-        "for n in range(1, 9):\n"
-        "    m, b = rng.uniform(-3.0, 3.0, (n, n)), rng.uniform(-3.0, 3.0, n)\n"
-        "    lu, piv, info = linalg.dgetrf(m)\n"
-        "    want_lu, want_piv, want_info = lapack.dgetrf(m)\n"
-        "    assert lu.tobytes() == want_lu.tobytes() and np.array_equal(piv, want_piv), n\n"
-        "    assert info == want_info == 0, n\n"
-        "    x, _ = linalg.dgetrs(lu, piv, b)\n"
-        "    assert x.tobytes() == lapack.dgetrs(want_lu, want_piv, b)[0].tobytes(), n\n"
-        "print('ok')\n"
-    )
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.strip() == "ok"
+@pytest.fixture(params=["bound", "cython_lapack"])
+def lapack_source(request, monkeypatch):
+    """The routines this process bound, or those of the cython_lapack capsules."""
+    if request.param == "cython_lapack":
+        source, *addresses = linalg._capsule_routines()
+        assert source == "scipy.linalg.cython_lapack"
+        assert addresses != linalg._addresses  # cython_lapack's own wrappers of the routines
+        getrf, getrs = linalg._bind(*addresses)
+        monkeypatch.setattr(linalg, "_dgetrf", getrf)
+        monkeypatch.setattr(linalg, "_dgetrs", getrs)
+    return request.param
 
 
-def test_lapack_load_falls_back_to_scipy_linalg(monkeypatch):
-    def unavailable():
-        raise ImportError("no extension")
+def _binding_matrices():
+    """(label, matrix) for n = 1-16: random, exactly singular and SPD normal matrices."""
+    rng = np.random.default_rng(18)
+    for n in range(1, 17):
+        yield f"random n={n}", rng.standard_normal((n, n)) * 10.0 ** rng.integers(-3, 4)
+        singular = rng.uniform(-3.0, 3.0, (n, n))
+        singular[:, n // 2] = 0.0  # an exactly zero column: dgetrf's info is n // 2 + 1
+        yield f"singular n={n}", singular
+        jac = rng.standard_normal((n + 2, n))
+        yield f"normal n={n}", jac.T @ jac + 0.005 * np.eye(n)
 
-    monkeypatch.setattr(linalg, "_flapack_extension", unavailable)
-    getrf, getrs = linalg._load_getrf_getrs()
-    assert getrf is scipy.linalg.lapack.dgetrf and getrs is scipy.linalg.lapack.dgetrs
-    monkeypatch.setattr(linalg, "dgetrf", getrf)
-    monkeypatch.setattr(linalg, "dgetrs", getrs)
-    rng = np.random.default_rng(109)
-    for n in range(9):
-        m, b = rng.uniform(-3.0, 3.0, (n, n)), rng.uniform(-3.0, 3.0, n)
-        f = lu_factor(m)
-        lu, piv = scipy.linalg.lu_factor(m)
-        assert f.lu.tobytes() == lu.tobytes() and np.array_equal(f.piv, piv), f"n={n}"
-        assert lu_solve(f, b).tobytes() == scipy.linalg.lu_solve((lu, piv), b).tobytes(), f"n={n}"
+
+def test_lu_binding_matches_scipy_lapack_byte_for_byte(lapack_source):
+    # lu_factor/lu_solve and a workspace give dgetrf/dgetrs's bits: the
+    # factors, the 0-based pivots, the info code of an exactly singular
+    # matrix, and 1-d and 2-d solutions.
+    rng = np.random.default_rng(19)
+    for label, m in _binding_matrices():
+        n = m.shape[0]
+        want_lu, want_piv, want_info = scipy.linalg.lapack.dgetrf(m)
+        work = _workspace(m)
+        if want_info:
+            assert want_info == n // 2 + 1, label
+            with pytest.raises(SingularMatrix):
+                lu_factor(m)
+            with pytest.raises(SingularMatrix):
+                work.factor("matrix")
+            assert work._ints[2] == want_info, label  # LAPACK's info code
+        else:
+            work.factor("matrix")
+            f = lu_factor(m)
+            assert f.lu.tobytes() == want_lu.tobytes() and f.piv.tobytes() == want_piv.tobytes(), label
+            assert f.piv.dtype == want_piv.dtype and f.lu.flags.f_contiguous, label
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 1)), rng.standard_normal((n, 3))):
+                want = scipy.linalg.lapack.dgetrs(want_lu, want_piv, b)[0]
+                got = lu_solve(f, b)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
+            work.b[...] = b[:, 0]
+            assert work.solve().tobytes() == scipy.linalg.lapack.dgetrs(want_lu, want_piv, b[:, 0])[0].tobytes()
+        assert work.a.tobytes("F") == want_lu.tobytes("F") and np.array_equal(work.piv - 1, want_piv), label
+
+
+def _reference_iterate(kernel, x, opts):
+    """The engine's iteration with scipy.linalg.lapack's dgetrf/dgetrs:
+    (best iterate, history)."""
+    res, jac, _ = kernel.evaluate(x)
+    iterates, history = [x], [float(np.abs(res).max())]
+    for _ in range(opts.max_iter):
+        if history[-1] <= opts.residual_tol:
+            break
+        if opts.method == "newton":
+            matrix, rhs = jac, -res
+        else:
+            matrix, rhs = jac.T @ jac + opts.mu * np.eye(x.size), -(jac.T @ res)
+        lu, piv, info = scipy.linalg.lapack.dgetrf(matrix)
+        assert info == 0
+        x = x + scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+        res, jac, _ = kernel.evaluate(x)
+        iterates.append(x)
+        history.append(float(np.abs(res).max()))
+    return iterates[int(np.argmin(history))], history
+
+
+@pytest.mark.parametrize("method", ["newton", "lm"])
+def test_engine_workspace_matches_scipy_lapack_byte_for_byte(lapack_source, method):
+    # The engine writes J, or J^T J + mu I in C order, into the kernel's
+    # workspace; its iterates are those of scipy's dgetrf/dgetrs on the
+    # matrices it used to build.
+    for seed, k, l in ((200, 1, 1), (201, 2, 2), (3, 4, 1), (207, 3, 5)):
+        prob = make_instance("vi", k, l, seed).problem
+        opts = SolverOptions(method=method, max_iter=8)
+        kernel = FbKernel(prob)
+        assert kernel.lu.a.shape == (k + l + 1, k + l + 1)
+        start = _resolve_start(opts, prob)
+        raw = _iterate(kernel, start, opts)
+        x, history = _reference_iterate(FbKernel(prob), start, opts)
+        assert raw.history == history, (seed, method)
+        assert raw.x.tobytes() == x.tobytes(), (seed, method)
+
+
+def test_lu_solve_rejects_bad_factors_and_shapes(lapack_source):
+    f = lu_factor(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]))
+    for rhs in (np.ones(2), np.ones(4), np.ones((2, 3)), np.float64(1.0), np.ones((3, 1, 1))):
+        with pytest.raises(DimensionMismatch):
+            lu_solve(f, rhs)
+    for bad in (f._replace(lu=f.lu[:2]), f._replace(lu=f.lu.ravel()), f._replace(piv=f.piv[:2]),
+                f._replace(n=4)):
+        with pytest.raises(DimensionMismatch):
+            lu_solve(bad, np.ones(bad.n))
+    for piv in ([0, 1, 3], [-1, 1, 2]):
+        with pytest.raises(ValueError, match="pivots"):
+            lu_solve(f._replace(piv=np.array(piv, dtype=np.int32)), np.ones(3))
+    # A non-finite right-hand side is LAPACK's business: NaN in, NaN out.
+    rhs = np.array([1.0, np.nan, np.inf])
+    want = scipy.linalg.lapack.dgetrs(f.lu, f.piv, rhs)[0]
+    assert lu_solve(f, rhs).tobytes() == want.tobytes()
+
+
+def test_lu_factor_rejects_non_finite_and_singular_input(lapack_source):
+    for bad in (np.nan, np.inf, -np.inf):
+        for n in (1, 4):
+            m = np.eye(n)
+            m[n - 1, 0] = bad
+            assert _same_error(m, "block", ValueError) == "block: entries must be finite"
+    for m in (np.zeros((1, 1)), np.ones((5, 5)), np.diag([1.0, 1e-14])):
+        assert "block is singular" in _same_error(m, "block", SingularMatrix)
+
+
+def test_lu_handles_empty_systems():
+    f = lu_factor(np.empty((0, 0)))
+    assert f.n == 0 and f.lu.shape == (0, 0) and f.piv.shape == (0,)
+    assert lu_solve(f, np.empty(0)).shape == (0,)
+    assert lu_solve(f, np.empty((0, 2))).shape == (0, 2)
+    assert lu_solve(lu_factor(np.eye(3)), np.empty((3, 0))).shape == (3, 0)
 
 
 def _bits(value) -> bytes:

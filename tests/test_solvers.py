@@ -228,23 +228,24 @@ def test_lcp_roots_contain_a_planted_root():
         assert any(np.abs(x - x_star).max() <= 1e-9 * (1.0 + np.abs(x_star).max()) for x in roots)
 
 
-def _spy_lu_factor(monkeypatch):
-    """Record the matrices solvers.lu_factor is called with."""
+def _spy_factor(monkeypatch):
+    """Record the (name, matrix) of every LU factorization: lu_factor's, the
+    engine's and lcp_roots' all run LuWorkspace.factor."""
     calls = []
-    real = solvers.lu_factor
+    real = solvers.LuWorkspace.factor
 
-    def spy(m, name="matrix"):
-        calls.append((name, np.array(m)))
-        return real(m, name=name)
+    def spy(work, name):
+        calls.append((name, work.a.copy()))
+        return real(work, name)
 
-    monkeypatch.setattr(solvers, "lu_factor", spy)
+    monkeypatch.setattr(solvers.LuWorkspace, "factor", spy)
     return calls
 
 
 def test_lcp_roots_visit_supports_by_size_then_lexicographically(monkeypatch):
     # Distinct diagonal entries name the factored principal blocks, and
     # with q = 0 every support gives the root x = 0.
-    calls = _spy_lu_factor(monkeypatch)
+    calls = _spy_factor(monkeypatch)
     roots = list(lcp_roots(np.diag([1.0, 2.0, 3.0]), np.zeros(3)))
     assert len(roots) == 8 and all(np.array_equal(x, np.zeros(3)) for x in roots)
     seen = [tuple(int(v) - 1 for v in m.diagonal()) for _, m in calls]
@@ -407,7 +408,7 @@ def test_singular_lm_normal_matrix_ends_only_that_run():
     inst = make_instance("vi", 4, 1, 3)
     opts = SolverOptions(mu=0.0)
     kernel = FbKernel(inst.problem)
-    raw = _iterate(kernel.evaluate, _resolve_start(opts, inst.problem), opts)
+    raw = _iterate(kernel, _resolve_start(opts, inst.problem), opts)
     assert (raw.status, raw.iterations) == (SolveStatus.SINGULAR_JACOBIAN, 14)
     rep = solve_esoclcp(inst.problem, opts)
     assert rep.status is SolveStatus.CONVERGED
@@ -490,8 +491,8 @@ def test_zero_image_branch_enumerates_at_k_11():
 
 
 def test_reduced_branches_not_searched_above_enum_max_k(monkeypatch):
-    calls = _spy_lu_factor(monkeypatch)
     inst = make_instance("i", ENUM_MAX_K + 1, 1, 0)
+    calls = _spy_factor(monkeypatch)
     assert list(solvers._reduced_candidates(inst.problem)) == []
     assert calls == []
 
@@ -502,7 +503,7 @@ def test_singular_d_ends_zero_image_branch_quietly(monkeypatch):
     # its best augmented attempt.
     prob = LcpProblem(EsocDims(1, 1), np.array([[-1.0, 0.0], [1.0, 0.0]]), np.array([-1.0, 0.0]),
                       allow_singular=True)
-    calls = _spy_lu_factor(monkeypatch)
+    calls = _spy_factor(monkeypatch)
     rep = solve_esoclcp(prob, SolverOptions(max_iter=20, num_random_starts=1))
     assert "D" in [name for name, _ in calls]
     assert rep.status is not SolveStatus.CONVERGED

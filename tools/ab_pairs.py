@@ -25,9 +25,11 @@ quartiles, the seeds, ``failed``/``attempted`` and the median
 ``attempted`` per side, the ``src/``
 line count of each checkout (``src_lines``), the line count of the
 ``esoclcp`` modules a fresh ``import esoclcp.cli`` loads from it
-(``cold_path_lines``, also printed before the runs) and the machine's facts,
-so running it once per workload with the same FILE collects every workload
-of one comparison.
+(``cold_path_lines``), the LAPACK source a fresh ``import esoclcp.linalg``
+binds (``lapack_source``: its ``LAPACK_SOURCE``, null where the checkout
+does not record one; all three also printed before the runs) and the
+machine's facts, so running it once per workload with the same FILE
+collects every workload of one comparison.
 
 Every child runs with ``PYTHONDONTWRITEBYTECODE=1``, so no run leaves a
 bytecode cache behind, and a checkout that already has
@@ -109,6 +111,25 @@ def cold_path_lines(checkout: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in files)
 
 
+# Run like COLD_PATH_PROBE: prints esoclcp.linalg.LAPACK_SOURCE, or None.
+LAPACK_SOURCE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import esoclcp.linalg
+print(getattr(esoclcp.linalg, "LAPACK_SOURCE", None))
+"""
+
+
+def lapack_source(checkout: Path) -> str | None:
+    """The LAPACK source a fresh `import esoclcp.linalg` binds in the checkout,
+    so a fallback on another machine shows next to a memory change."""
+    src = (checkout / "src").resolve()
+    proc = subprocess.run([sys.executable, "-c", LAPACK_SOURCE_PROBE, str(src)],
+                          env=CHILD_ENV, capture_output=True, text=True, check=True)
+    source = proc.stdout.strip()
+    return None if source == "None" else source
+
+
 def machine_facts() -> dict:
     cpuinfo = Path("/proc/cpuinfo")
     lines = cpuinfo.read_text(encoding="utf-8").splitlines() if cpuinfo.exists() else []
@@ -124,18 +145,19 @@ def machine_facts() -> dict:
     }
 
 
-def write_bench_json(path: Path, lines: dict[str, dict], workload: str, entry: dict) -> None:
+def write_bench_json(path: Path, facts: dict[str, dict], workload: str, entry: dict) -> None:
     """Add one workload's entry to the BENCH file at path.
 
-    lines maps "src_lines" and "cold_path_lines" to their count per side.
+    facts maps "src_lines", "cold_path_lines" and "lapack_source" to their
+    value per side.
     """
-    record = {**lines, "machine": machine_facts(), "workloads": {}}
+    record = {**facts, "machine": machine_facts(), "workloads": {}}
     if path.exists():
         record = json.loads(path.read_text(encoding="utf-8"))
-        for key, counts in lines.items():
-            if record.get(key) != counts:
+        for key, values in facts.items():
+            if record.get(key) != values:
                 raise SystemExit(f"{path} compares trees with {key} {record.get(key)}, "
-                                 f"these have {counts}")
+                                 f"these have {values}")
     record["workloads"][workload] = entry
     path.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
 
@@ -159,11 +181,13 @@ def main(argv=None) -> int:
     cached = [str(cache) for cache in caches if cache.exists()]
     if cached:
         raise SystemExit(f"bytecode cache present, remove it first: {cached}")
-    lines = {"src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
-             "cold_path_lines": {side: cold_path_lines(checkout) for side, checkout in sides.items()}}
+    facts = {"src_lines": {side: src_lines(checkout) for side, checkout in sides.items()},
+             "cold_path_lines": {side: cold_path_lines(checkout) for side, checkout in sides.items()},
+             "lapack_source": {side: lapack_source(checkout) for side, checkout in sides.items()}}
     for side in sides:
-        print(f"{side}: src/ {lines['src_lines'][side]} lines, "
-              f"cold path {lines['cold_path_lines'][side]} lines", flush=True)
+        print(f"{side}: src/ {facts['src_lines'][side]} lines, "
+              f"cold path {facts['cold_path_lines'][side]} lines, "
+              f"LAPACK from {facts['lapack_source'][side]}", flush=True)
 
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
     for index, seed in enumerate(args.seeds):
@@ -215,7 +239,7 @@ def main(argv=None) -> int:
     if args.bench_json is not None:
         entry = {"seeds": args.seeds, "seconds": seconds, "pairs": len(args.seeds),
                  "metrics": summary, "outcomes": outcomes}
-        write_bench_json(args.bench_json, lines, args.workload, entry)
+        write_bench_json(args.bench_json, facts, args.workload, entry)
     return 0
 
 
