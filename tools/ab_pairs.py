@@ -87,8 +87,14 @@ def src_lines(checkout: Path) -> int:
     return sum(len(path.read_bytes().splitlines()) for path in (checkout / "src").rglob("*.py"))
 
 
-# Run in a fresh interpreter with the checkout's src/ as argv[1]: prints the
-# files of the esoclcp modules that importing the CLI loads.
+def probe(src: Path, code: str) -> list[str]:
+    """The output lines of code run in a fresh interpreter with src as argv[1]."""
+    proc = subprocess.run([sys.executable, "-c", code, str(src)],
+                          env=CHILD_ENV, capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()
+
+
+# Prints the files of the esoclcp modules that importing the CLI loads.
 COLD_PATH_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -102,16 +108,14 @@ for name, module in sys.modules.items():
 def cold_path_lines(checkout: Path) -> int:
     """Lines of the esoclcp modules a fresh `import esoclcp.cli` loads."""
     src = (checkout / "src").resolve()
-    proc = subprocess.run([sys.executable, "-c", COLD_PATH_PROBE, str(src)],
-                          env=CHILD_ENV, capture_output=True, text=True, check=True)
-    files = [Path(line) for line in proc.stdout.splitlines()]
+    files = [Path(line) for line in probe(src, COLD_PATH_PROBE)]
     stray = [str(path) for path in files if src not in path.resolve().parents]
     if stray:
         raise SystemExit(f"{checkout}: esoclcp loaded from outside its src/: {stray}")
     return sum(len(path.read_bytes().splitlines()) for path in files)
 
 
-# Run like COLD_PATH_PROBE: prints esoclcp.linalg.LAPACK_SOURCE, or None.
+# Prints esoclcp.linalg.LAPACK_SOURCE, or None where the tree has none.
 LAPACK_SOURCE_PROBE = """
 import sys
 sys.path.insert(0, sys.argv[1])
@@ -123,10 +127,7 @@ print(getattr(esoclcp.linalg, "LAPACK_SOURCE", None))
 def lapack_source(checkout: Path) -> str | None:
     """The LAPACK source a fresh `import esoclcp.linalg` binds in the checkout,
     so a fallback on another machine shows next to a memory change."""
-    src = (checkout / "src").resolve()
-    proc = subprocess.run([sys.executable, "-c", LAPACK_SOURCE_PROBE, str(src)],
-                          env=CHILD_ENV, capture_output=True, text=True, check=True)
-    source = proc.stdout.strip()
+    (source,) = probe((checkout / "src").resolve(), LAPACK_SOURCE_PROBE)
     return None if source == "None" else source
 
 
