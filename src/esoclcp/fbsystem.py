@@ -7,7 +7,8 @@ psi over the k orthant pairs followed by the equality residual gives a
 square system of size m + 1 whose zeros are the augmented solutions.
 FbKernel.evaluate gives a point's residual, Jacobian and image T z + r in
 one pass; fb_residual, fb_jacobian and certify_solution, the regularity
-certificate an answer must pass, are its validating views.
+certificate an answer must pass, are its validating views.  The
+certificate factors A only where LcpProblem has not: under allow_singular.
 The merit and the full regularity test, which asks s0_check for its
 advisory, are in `theory`.
 """
@@ -19,7 +20,7 @@ import contextlib
 import numpy as np
 
 from .errors import DimensionMismatch, SingularMatrix, TooLarge
-from .linalg import LuWorkspace, _norm, as_matrix
+from .linalg import LuFactors, _norm, as_matrix, lu_factor
 from .reformulation import AugmentedPoint, LcpProblem
 
 # Subgradient element selected at exactly degenerate pairs (a, b) = (0, 0).
@@ -91,8 +92,8 @@ class FbKernel:
     (xhat, u, t) of length m + 1; nothing is validated here.  evaluate
     does the arithmetic of the reference formulas theory.f_comp, theory.f_eq
     and theory.jacobian_blocks, operation for operation, and rewrites the
-    kernel's diagonal-terms buffer, as the Newton/LM step rewrites its LU
-    workspace `lu`, so a kernel serves one thread at a time.
+    kernel's diagonal-terms buffer, as the Newton/LM step rewrites the
+    kernel's LuFactors `lu`, so a kernel serves one thread at a time.
     """
 
     # fb_residual, which drops the Jacobian, silences the Jacobian's warnings.
@@ -120,7 +121,7 @@ class FbKernel:
         # diag(d_a) in the psi rows and (e'y) I in the equality rows' D block.
         self.diag, self.d_a = diagonal_terms(m, m + 1, k)
         self.ety_eye = self.diag[k:, k:m]
-        self.lu = LuWorkspace(m + 1)
+        self.lu = LuFactors(m + 1)
 
     def evaluate(self, w: np.ndarray):
         """(res, jac, img) at w: the residual, its Jacobian and img = T z + r.
@@ -166,10 +167,11 @@ class FbKernel:
         grad = jac.T @ res
         if not np.maximum.reduce(np.abs(grad)) <= tol * (1.0 + _norm(res)):
             return False
-        try:
-            self.prob.lu_A
-        except SingularMatrix:
-            return False
+        if self.prob.allow_singular:  # else A passed the pivot test when prob was built
+            try:
+                lu_factor(self.prob.A, name="A")
+            except SingularMatrix:
+                return False
         # Each test fails on a NaN, which its reduction passes on.
         xhat = w[: self.k]
         return bool(np.minimum.reduce(xhat) >= -eps and np.minimum.reduce(y) >= -eps

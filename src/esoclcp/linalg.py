@@ -5,11 +5,11 @@ test-time ground truth for the analytic derivatives, are in `theory`.
 Everything here works on plain float64 numpy arrays.  The wrappers add the
 two guarantees the rest of the package relies on: inputs are finite, and
 nonsingularity is an explicit verdict (SingularMatrix) instead of a warning
-or a silently garbage solve.  Both come from one core, LuWorkspace.factor
+or a silently garbage solve.  Both come from one core, LuFactors.factor
 (finite check, dgetrf, pivot test), which lu_factor and the solvers'
-Newton/LM step and support enumeration share.  A workspace holds one
-order's buffers and its prebuilt LAPACK arguments, so a step that reuses
-it allocates nothing for the LU.
+Newton/LM step and support enumeration share.  An LuFactors holds one
+order's buffers and prebuilt LAPACK arguments: lu_factor returns the one
+it factored in, and a step that reuses one allocates nothing for the LU.
 
 The LU is LAPACK dgetrf/dgetrs, called through ctypes on Fortran-ordered
 buffers.  The routines come from the OpenBLAS library that scipy's wheel
@@ -26,7 +26,6 @@ import ctypes
 import importlib.util
 import math
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -69,7 +68,7 @@ def _capsule_routines():
 
 def _bind(getrf: int, getrs: int):
     """Callables for the routines at these addresses.  They take no
-    argtypes: each call passes on LuWorkspace's prebuilt references
+    argtypes: each call passes on LuFactors' prebuilt references
     unconverted (declared argtypes cost 1-2 us more per call)."""
     return ctypes.CFUNCTYPE(None)(getrf), ctypes.CFUNCTYPE(None)(getrs)
 
@@ -117,55 +116,50 @@ def _norm(x: np.ndarray) -> float:
     return math.sqrt(x.dot(x))
 
 
-class LuFactors(NamedTuple):
-    """Packed LU factorization P M = L U of a square matrix M.
+class LuFactors:
+    """Packed LU factorization P M = L U of a square matrix M of order n,
+    held in its own buffers with prebuilt LAPACK arguments.
 
-    `lu` stores L below the diagonal (unit diagonal implied) and U on and
-    above it; `piv` is the sequential row-swap vector from partial pivoting.
+    `lu` (Fortran order) stores L below the diagonal (unit diagonal
+    implied) and U on and above it; `piv` is the sequential row-swap vector
+    from partial pivoting, 0-based as scipy's.  lu_factor returns one.  A
+    step that factors many matrices of one order reuses one instead: write
+    the matrix into `lu` and call factor, then the right-hand side into `b`
+    (length n) and call solve, which allocates nothing.  A new object's
+    pivots are the identity.  The buffers are reused by every call, so an
+    object serves one thread at a time.
     """
 
-    lu: np.ndarray
-    piv: np.ndarray
-    n: int
+    __slots__ = ("lu", "b", "n", "_ints", "_getrf_args", "_getrs_args")
 
-
-class LuWorkspace:
-    """Buffers and prebuilt LAPACK arguments for LU solves of order n >= 1.
-
-    Write the matrix into `a` (Fortran order) and call factor, which
-    overwrites it with the packed factors and `piv` with dgetrf's 1-based
-    pivots; then write the right-hand side into `b` (length n, or n x cols
-    in Fortran order when cols is given) and call solve, which overwrites
-    b with the solution and returns it.  The buffers are reused by every
-    call, so a workspace serves one thread at a time.
-    """
-
-    __slots__ = ("a", "b", "piv", "_ints", "_getrf_args", "_getrs_args")
-
-    def __init__(self, n: int, cols: int | None = None):
-        width = 1 if cols is None else cols
-        # Two buffers: a then b, and n, width, LAPACK's info code and the
-        # pivots.  Every LAPACK argument is a pointer, as Fortran passes
-        # them, here a byref reference into a buffer; the sizes follow from n
-        # and width, so the routines stay in bounds.  (A ctypes array type
-        # per size would cost more: ctypes caches those types only while an
-        # instance lives.)
-        floats = np.empty(n * (n + width))
+    def __init__(self, n: int):
+        # Two buffers: lu then b (one float more, since ctypes cannot refer
+        # into an empty buffer; n = 0 never reaches LAPACK), and n, b's
+        # column count, LAPACK's info code and the 1-based pivots.  Every
+        # LAPACK argument is a pointer, as Fortran passes them, here a byref
+        # reference into a buffer; the sizes follow from n, so the routines
+        # stay in bounds.  (A ctypes array type per size would cost more:
+        # ctypes caches those types only while an instance lives.)
+        floats = np.empty(n * (n + 1) + 1)
         ints = np.zeros(3 + n, dtype=np.intc)
-        ints[0], ints[1] = n, width
-        self.a = floats[: n * n].reshape((n, n), order="F")
-        self.b = floats[n * n :] if cols is None else floats[n * n :].reshape((n, cols), order="F")
-        self._ints, self.piv = ints, ints[3:]
+        ints[0], ints[1], ints[3:] = n, 1, range(1, n + 1)
+        self.lu = floats[: n * n].reshape((n, n), order="F")
+        self.b = floats[n * n : n * (n + 1)]
+        self.n, self._ints = n, ints
         float_ref, int_ref = ctypes.c_char.from_buffer(floats), ctypes.c_char.from_buffer(ints)
-        n_p, width_p, info_p, piv_p = [ctypes.byref(int_ref, i * ints.itemsize) for i in range(4)]
+        n_p, cols_p, info_p, piv_p = [ctypes.byref(int_ref, i * ints.itemsize) for i in range(4)]
         a_p, b_p = ctypes.byref(float_ref), ctypes.byref(float_ref, n * n * floats.itemsize)
         self._getrf_args = (n_p, n_p, a_p, n_p, piv_p, info_p)
-        self._getrs_args = (_TRANS_N, n_p, width_p, a_p, n_p, piv_p, b_p, n_p, info_p)
+        self._getrs_args = (_TRANS_N, n_p, cols_p, a_p, n_p, piv_p, b_p, n_p, info_p)
+
+    @property
+    def piv(self) -> np.ndarray:
+        return self._ints[3:] - 1
 
     def factor(self, name: str) -> None:
-        """LU-factor `a` in place, raising as lu_factor does; the reductions
-        skip the ndarray methods' wrappers."""
-        a = self.a
+        """LU-factor `lu` in place, raising as lu_factor does; the
+        reductions skip the ndarray methods' wrappers."""
+        a = self.lu
         # One pass serves the finite check (a NaN or inf reaches the max) and
         # the scale of the pivot threshold.  It must precede dgetrf, which
         # overwrites a.
@@ -194,7 +188,7 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
     pivot magnitude is at most PIVOT_RTOL times the largest entry of the
     input; `name` labels the matrix in both messages.  An exactly zero
     pivot, which dgetrf reports through its info code, fails the same test.
-    The pivots are 0-based, as scipy's.
+    The factors are read-only.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
@@ -202,42 +196,32 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
     n = a.shape[0]
     if a.shape[1] != n:
         raise DimensionMismatch(f"{name} must be square, got {a.shape}")
-    if n == 0:
-        # dgetrf rejects an empty matrix; its factors are empty too.
-        lu, piv = np.empty((0, 0)), np.empty(0, dtype=np.intc)
-    else:
-        work = LuWorkspace(n)
-        work.a[...] = a
-        work.factor(name)
-        lu, piv = work.a, work.piv - 1
-    lu.setflags(write=False)
-    piv.setflags(write=False)
-    return LuFactors(lu, piv, n)
+    f = LuFactors(n)
+    if n:  # dgetrf rejects an empty matrix; its factors are empty too.
+        f.lu[...] = a
+        f.factor(name)
+    f.lu.setflags(write=False)
+    return f
 
 
 def lu_solve(f: LuFactors, b):
     """Solve M s = b given the factorization of M (LAPACK dgetrs).
 
-    b is a vector or a matrix of right-hand-side columns.  Factors or a
-    right-hand side of the wrong shape raise DimensionMismatch, pivots out
-    of range ValueError, before LAPACK could read out of bounds.
+    b is a vector or a matrix of right-hand-side columns; one of the wrong
+    shape raises DimensionMismatch.  The solution is a new array, and the
+    factors are left as they are.
     """
     n = f.n
     rhs = np.asarray(b, dtype=float)
-    piv = np.asarray(f.piv)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != n:
         raise DimensionMismatch(f"lu_solve: rhs has shape {rhs.shape}, expected ({n},) or ({n}, cols)")
-    if np.shape(f.lu) != (n, n) or piv.shape != (n,):
-        raise DimensionMismatch(f"lu_solve: factors have shapes {np.shape(f.lu)} and {piv.shape}, "
-                                f"expected ({n}, {n}) and ({n},)")
-    if rhs.size == 0:
+    sol = np.array(rhs, order="F")
+    if sol.size == 0:
         # dgetrs rejects n = 0; the solution of an empty system is empty.
-        return rhs.copy()
-    pivots = piv.tolist()
-    if not 0 <= min(pivots) <= max(pivots) < n:
-        raise ValueError(f"lu_solve: pivots must lie in 0..{n - 1}")
-    work = LuWorkspace(n, None if rhs.ndim == 1 else rhs.shape[1])
-    work.a[...] = f.lu
-    np.add(piv, 1, out=work.piv)
-    work.b[...] = rhs
-    return work.solve()
+        return sol
+    trans, n_p, _, a_p, _, piv_p, _, _, info_p = f._getrs_args
+    cols_p = ctypes.byref(ctypes.c_int(1 if sol.ndim == 1 else sol.shape[1]))
+    # The transpose of a Fortran-order array is C-contiguous, as ctypes needs.
+    sol_p = ctypes.byref(ctypes.c_char.from_buffer(sol.T))
+    _dgetrs(trans, n_p, cols_p, a_p, n_p, piv_p, sol_p, n_p, info_p)
+    return sol

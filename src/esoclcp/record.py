@@ -5,8 +5,8 @@ class Record:
     """Fields in __slots__, each set once in __init__ by object.__setattr__
     (plain classes: a dataclass generates and compiles its methods when its
     module loads).  Later assignment or deletion raises AttributeError.
-    Compared and hashed by identity; repr shows the fields but caches (a
-    leading underscore) and the names in _hidden."""
+    Compared and hashed by identity; repr shows the fields but the names
+    in _hidden."""
 
     __slots__ = ()
     _hidden = ()
@@ -22,8 +22,7 @@ class Record:
             object.__setattr__(self, name, value)
 
     def __repr__(self):
-        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__
-                  if name[0] != "_" and name not in self._hidden]
+        fields = [f"{name}={getattr(self, name)!r}" for name in self.__slots__ if name not in self._hidden]
         return f"{type(self).__qualname__}({', '.join(fields)})"
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cones import EsocDims, PointZ, _check_tol, orthant_comp_violation
 from .errors import DegenerateT, InfeasibleXhat
-from .linalg import LuFactors, as_matrix, as_vector, lu_factor
+from .linalg import as_matrix, as_vector, lu_factor
 from .record import Record
 
 
@@ -34,7 +34,7 @@ class LcpProblem(Record):
     factorization will still raise when they hit one).
     """
 
-    __slots__ = ("dims", "T", "r", "allow_singular", "_lu_A")
+    __slots__ = ("dims", "T", "r", "allow_singular")
 
     def __init__(self, dims: EsocDims, T: np.ndarray, r: np.ndarray, allow_singular: bool = False):
         m = dims.m
@@ -50,7 +50,7 @@ class LcpProblem(Record):
         object.__setattr__(self, "allow_singular", allow_singular)
         if not allow_singular:
             lu_factor(T, name="T")
-            self.lu_A  # factors A once; the factors stay cached
+            lu_factor(self.A, name="A")
             lu_factor(self.D, name="D")
 
     @property
@@ -80,15 +80,6 @@ class LcpProblem(Record):
     @property
     def q(self) -> np.ndarray:
         return self.r[self.dims.k :]
-
-    @property
-    def lu_A(self) -> LuFactors:
-        """Cached factorization of the orthant block A."""
-        try:
-            return self._lu_A
-        except AttributeError:  # the slot is set on the first success
-            object.__setattr__(self, "_lu_A", lu_factor(self.A, name="A"))
-            return self._lu_A
 
     @classmethod
     def from_blocks(cls, A, B, C, D, p, q, allow_singular: bool = False) -> "LcpProblem":
@@ -146,6 +137,7 @@ def recover_solution(w: AugmentedPoint, tol: float = 1e-6) -> PointZ:
     Requires t > tol (the reformulation is only valid off the u = 0 branch),
     t^2 consistent with ||u||^2, and xhat nonnegative up to tol.
     """
+    _check_tol(tol)
     if not w.t > tol:
         raise DegenerateT(f"t = {w.t} is not above tol = {tol}")
     nu2 = float(w.u @ w.u)

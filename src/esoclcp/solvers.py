@@ -38,7 +38,7 @@ import numpy as np
 from .cones import PairCase, PointZ, classify_pair
 from .errors import EsoclcpError, SingularMatrix
 from .fbsystem import FbKernel
-from .linalg import LuWorkspace, _norm, lu_factor, lu_solve
+from .linalg import LuFactors, _norm, lu_factor, lu_solve
 from .record import Record, ValueRecord
 from .reformulation import AugmentedPoint, LcpProblem, affine_map, recover_solution
 
@@ -171,7 +171,7 @@ def _iterate(kernel: FbKernel, x0, opts: SolverOptions) -> _RawSolve:
     which the divergence guard uses.
 
     A step writes J or J^T J + mu I, and its right-hand side, into the
-    kernel's LU workspace and factors and solves there:
+    kernel's LuFactors and factors and solves there:
     lu_solve(lu_factor(...))'s bits without its per-call checks and
     allocations.  A NaN or inf in a residual (the initial one too) or step
     matrix ends the run Diverged, a failed pivot test SingularJacobian.  The caller
@@ -192,7 +192,7 @@ def _iterate(kernel: FbKernel, x0, opts: SolverOptions) -> _RawSolve:
     damping = None if newton else opts.mu * np.eye(x.size)
     # J^T J + mu I is exactly symmetric (numpy forms J^T J by a symmetric
     # rank-k update), so written in C order it is already in Fortran order.
-    normal = work.a.T
+    normal = work.lu.T
     while True:
         if norm <= opts.residual_tol:
             return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history, last)
@@ -200,7 +200,7 @@ def _iterate(kernel: FbKernel, x0, opts: SolverOptions) -> _RawSolve:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
         try:
             if newton:
-                work.a[...] = jac
+                work.lu[...] = jac
                 np.negative(res, out=work.b)
                 work.factor("jacobian")
             else:
@@ -261,19 +261,19 @@ def lcp_roots(M: np.ndarray, q: np.ndarray):
     Complementarity Problem, 1992): for each support S, by size and then
     lexicographically, solve M_SS x_S = -q_S with x = 0 off S, and yield x
     when x and M x + q are finite and nonnegative up to ENUM_RTOL.  The
-    supports of one size share one LU workspace.  A support whose principal
+    supports of one size share one LuFactors.  A support whose principal
     block fails the pivot test is skipped, so a root reachable only through
     singular blocks is missed, and a degenerate root (some
     x_i = (M x + q)_i = 0) is yielded once per support that reaches it.
     """
     n = q.shape[0]
     for size in range(n + 1):
-        work = LuWorkspace(size) if size else None
+        work = LuFactors(size) if size else None
         for support in itertools.combinations(range(n), size):
             x = np.zeros(n)
             if size:
                 s = list(support)
-                work.a[...] = M[s][:, s]
+                work.lu[...] = M[s][:, s]
                 try:
                     work.factor("principal block")
                 except SingularMatrix:

@@ -56,8 +56,7 @@ def fd_jacobian(f, at, h: float = FD_STEP):
     that analytic Jacobians are tested against.
     """
     x0 = as_vector(at, "fd_jacobian point")
-    if h <= 0:
-        raise ValueError(f"fd_jacobian: step must be positive, got {h}")
+    _check_positive("h", h)
     n = x0.size
     cols = []
     for j in range(n):
@@ -287,7 +286,8 @@ def fb_regularity_check(prob: LcpProblem, w: AugmentedPoint, eps: float = 1e-6) 
     _check_dims(prob, w)
     _check_positive("eps", eps)
     try:
-        prob.lu_A
+        if prob.allow_singular:  # else A passed the pivot test when prob was built
+            lu_factor(prob.A, name="A")
     except SingularMatrix:
         # Unit null vector of A witnesses the failure.
         witness = np.linalg.svd(prob.A)[2][-1]

@@ -32,6 +32,7 @@ from esoclcp import (
     merit,
     newton_solve,
     psi_fb,
+    recover_solution,
     s0_check,
     solve_esoclcp,
     stationarity_check,
@@ -423,6 +424,7 @@ _TOLERANT_CHECKS = {
     "stationarity_check": ("tol", "positive", lambda ex, w, v: stationarity_check(ex, w, tol=v)),
     "index_sets": ("eps", "positive", lambda ex, w, v: index_sets(w.xhat, f_comp(ex, w), eps=v)),
     "fb_regularity_check": ("eps", "positive", lambda ex, w, v: fb_regularity_check(ex, w, eps=v)),
+    "recover_solution": ("tol", "non-negative", lambda ex, w, v: recover_solution(w, v)),
 }
 
 

@@ -84,19 +84,20 @@ def test_lu_factor_rejects_singular():
         lu_factor(sing)
 
 
-def _workspace(m):
-    work = linalg.LuWorkspace(m.shape[0])
-    work.a[...] = m
+def _unfactored(m):
+    """A new LuFactors holding m, as the solvers' step writes one."""
+    work = linalg.LuFactors(m.shape[0])
+    work.lu[...] = m
     return work
 
 
 def _same_error(m, name, error):
-    # The solvers' step factors in an LuWorkspace: it must raise what
+    # The solvers' step factors in a reused LuFactors: it must raise what
     # lu_factor raises, with the same message.
     with pytest.raises(error) as boundary:
         lu_factor(m, name=name)
     with pytest.raises(error) as core:
-        _workspace(m).factor(name)
+        _unfactored(m).factor(name)
     assert str(core.value) == str(boundary.value)
     return str(boundary.value)
 
@@ -175,8 +176,9 @@ def test_fd_jacobian_on_polynomial_map():
 
 
 def test_fd_jacobian_rejects_bad_step():
-    with pytest.raises(ValueError):
-        fd_jacobian(lambda v: v, np.ones(2), h=0.0)
+    for h in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=rf"^h must be finite and positive, got {h}$"):
+            fd_jacobian(lambda v: v, np.ones(2), h=h)
 
 
 def test_lu_factor_matches_scipy_and_is_read_only():
@@ -188,12 +190,12 @@ def test_lu_factor_matches_scipy_and_is_read_only():
         assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv), f"n={n}"
         b = rng.uniform(-3.0, 3.0, n)
         assert np.array_equal(lu_solve(f, b), scipy.linalg.lu_solve((lu, piv), b)), f"n={n}"
-        assert not f.lu.flags.writeable and not f.piv.flags.writeable
+        assert not f.lu.flags.writeable
         if n:
-            # The solvers' step: a workspace factors and solves, same bits.
-            work = _workspace(m)
+            # The solvers' step: a reused LuFactors factors and solves, same bits.
+            work = _unfactored(m)
             work.factor("matrix")
-            assert work.a.tobytes("F") == f.lu.tobytes("F") and np.array_equal(work.piv - 1, f.piv), f"n={n}"
+            assert work.lu.tobytes("F") == f.lu.tobytes("F") and np.array_equal(work.piv, f.piv), f"n={n}"
             work.b[...] = -b
             assert work.solve().tobytes() == lu_solve(f, -b).tobytes(), f"n={n}"
 
@@ -239,14 +241,14 @@ def _binding_matrices():
 
 
 def test_lu_binding_matches_scipy_lapack_byte_for_byte(lapack_source):
-    # lu_factor/lu_solve and a workspace give dgetrf/dgetrs's bits: the
+    # lu_factor/lu_solve and a reused LuFactors give dgetrf/dgetrs's bits: the
     # factors, the 0-based pivots, the info code of an exactly singular
     # matrix, and 1-d and 2-d solutions.
     rng = np.random.default_rng(19)
     for label, m in _binding_matrices():
         n = m.shape[0]
         want_lu, want_piv, want_info = scipy.linalg.lapack.dgetrf(m)
-        work = _workspace(m)
+        work = _unfactored(m)
         if want_info:
             assert want_info == n // 2 + 1, label
             with pytest.raises(SingularMatrix):
@@ -265,7 +267,7 @@ def test_lu_binding_matches_scipy_lapack_byte_for_byte(lapack_source):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
             work.b[...] = b[:, 0]
             assert work.solve().tobytes() == scipy.linalg.lapack.dgetrs(want_lu, want_piv, b[:, 0])[0].tobytes()
-        assert work.a.tobytes("F") == want_lu.tobytes("F") and np.array_equal(work.piv - 1, want_piv), label
+        assert work.lu.tobytes("F") == want_lu.tobytes("F") and np.array_equal(work.piv, want_piv), label
 
 
 def _reference_iterate(kernel, x, opts):
@@ -292,13 +294,13 @@ def _reference_iterate(kernel, x, opts):
 @pytest.mark.parametrize("method", ["newton", "lm"])
 def test_engine_workspace_matches_scipy_lapack_byte_for_byte(lapack_source, method):
     # The engine writes J, or J^T J + mu I in C order, into the kernel's
-    # workspace; its iterates are those of scipy's dgetrf/dgetrs on the
+    # LuFactors; its iterates are those of scipy's dgetrf/dgetrs on the
     # matrices it used to build.
     for seed, k, l in ((200, 1, 1), (201, 2, 2), (3, 4, 1), (207, 3, 5)):
         prob = make_instance("vi", k, l, seed).problem
         opts = SolverOptions(method=method, max_iter=8)
         kernel = FbKernel(prob)
-        assert kernel.lu.a.shape == (k + l + 1, k + l + 1)
+        assert kernel.lu.lu.shape == (k + l + 1, k + l + 1)
         start = _resolve_start(opts, prob)
         raw = _iterate(kernel, start, opts)
         x, history = _reference_iterate(FbKernel(prob), start, opts)
@@ -311,17 +313,44 @@ def test_lu_solve_rejects_bad_factors_and_shapes(lapack_source):
     for rhs in (np.ones(2), np.ones(4), np.ones((2, 3)), np.float64(1.0), np.ones((3, 1, 1))):
         with pytest.raises(DimensionMismatch):
             lu_solve(f, rhs)
-    for bad in (f._replace(lu=f.lu[:2]), f._replace(lu=f.lu.ravel()), f._replace(piv=f.piv[:2]),
-                f._replace(n=4)):
-        with pytest.raises(DimensionMismatch):
-            lu_solve(bad, np.ones(bad.n))
-    for piv in ([0, 1, 3], [-1, 1, 2]):
-        with pytest.raises(ValueError, match="pivots"):
-            lu_solve(f._replace(piv=np.array(piv, dtype=np.int32)), np.ones(3))
     # A non-finite right-hand side is LAPACK's business: NaN in, NaN out.
     rhs = np.array([1.0, np.nan, np.inf])
     want = scipy.linalg.lapack.dgetrs(f.lu, f.piv, rhs)[0]
     assert lu_solve(f, rhs).tobytes() == want.tobytes()
+
+
+def test_new_factors_start_with_identity_pivots(lapack_source):
+    # With the identity written into a new object's lu, both solves give b
+    # back and leave lu as written: no pivot swaps a row out of range.
+    f = linalg.LuFactors(3)
+    f.lu[...] = np.eye(3)
+    b = np.array([1.0, 2.0, 3.0])
+    assert np.array_equal(f.piv, [0, 1, 2])
+    assert lu_solve(f, b).tobytes() == b.tobytes()
+    f.b[...] = b
+    assert f.solve().tobytes() == b.tobytes()
+    assert f.lu.tobytes() == np.eye(3).tobytes()
+
+
+def test_repeated_lu_solves_return_new_arrays_and_keep_the_factors(lapack_source):
+    # The v = 0 branch solves with D's factors 2 + roots times.
+    rng = np.random.default_rng(20)
+    for n in (1, 4, 7):
+        m = rng.standard_normal((n, n))
+        want_lu, want_piv, _ = scipy.linalg.lapack.dgetrf(m)
+        f = lu_factor(m)
+        factors = f.lu.tobytes(), f.piv.tobytes()
+        rhs = [rng.standard_normal(n), rng.standard_normal((n, 1)), rng.standard_normal((n, 3))]
+        inputs = [b.tobytes() for b in rhs]
+        solutions = []
+        for b in rhs + rhs:
+            got = lu_solve(f, b)
+            want = scipy.linalg.lapack.dgetrs(want_lu, want_piv, b)[0]
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
+            assert (f.lu.tobytes(), f.piv.tobytes()) == factors, n
+            assert not any(np.shares_memory(got, other) for other in [f.lu, *rhs, *solutions]), n
+            solutions.append(got)
+        assert [b.tobytes() for b in rhs] == inputs, n
 
 
 def test_lu_factor_rejects_non_finite_and_singular_input(lapack_source):

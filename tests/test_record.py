@@ -142,32 +142,21 @@ def test_reprs():
         "iterations=1, case_label=<CaseLabel.CASE_VI: 'CASE_VI'>, certified=False, recovered=None)"
     )
     prob = LcpProblem(EsocDims(1, 1), np.eye(2), [1.0, 2.0])
-    prob.lu_A
     assert repr(prob) == (
         "LcpProblem(dims=EsocDims(k=1, l=1), T=array([[1., 0.],\n       [0., 1.]]), "
         "r=array([1., 2.]), allow_singular=False)"
     )
 
 
-def test_lu_a_is_cached_and_a_singular_a_is_not():
-    prob = example_problem()
-    assert prob.lu_A is prob.lu_A
-    singular = LcpProblem(EsocDims(1, 1), np.zeros((2, 2)), [1.0, 2.0], allow_singular=True)
-    for _ in range(2):
-        with pytest.raises(esoclcp.SingularMatrix):
-            singular.lu_A
-
-
 def test_records_copy_and_pickle():
     prob = make_instance("vi", 2, 2, 3).problem
-    prob.lu_A
     for record in _records()[0] + [prob, solve_esoclcp(prob)]:
         for clone in (copy.copy(record), copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
             assert type(clone) is type(record)
             assert repr(clone) == repr(record)
     assert pickle.loads(pickle.dumps(EsocDims(3, 2))) == EsocDims(3, 2)
     clone = pickle.loads(pickle.dumps(prob))
-    assert np.array_equal(clone.lu_A.lu, prob.lu_A.lu)
+    assert np.array_equal(clone.T, prob.T) and clone.allow_singular is prob.allow_singular
     report = solve_esoclcp(prob)
     assert copy.copy(report).residual_history == report.residual_history
     assert copy.copy(report).case_label is report.case_label

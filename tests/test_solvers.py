@@ -230,15 +230,15 @@ def test_lcp_roots_contain_a_planted_root():
 
 def _spy_factor(monkeypatch):
     """Record the (name, matrix) of every LU factorization: lu_factor's, the
-    engine's and lcp_roots' all run LuWorkspace.factor."""
+    engine's and lcp_roots' all run LuFactors.factor."""
     calls = []
-    real = solvers.LuWorkspace.factor
+    real = solvers.LuFactors.factor
 
     def spy(work, name):
-        calls.append((name, work.a.copy()))
+        calls.append((name, work.lu.copy()))
         return real(work, name)
 
-    monkeypatch.setattr(solvers.LuWorkspace, "factor", spy)
+    monkeypatch.setattr(solvers.LuFactors, "factor", spy)
     return calls
 
 
