@@ -126,8 +126,8 @@ class LuFactors:
     step that factors many matrices of one order reuses one instead: write
     the matrix into `lu` and call factor, then the right-hand side into `b`
     (length n) and call solve, which allocates nothing.  A new object's
-    pivots are the identity.  The buffers are reused by every call, so an
-    object serves one thread at a time.
+    pivots are the identity, so no solve swaps a row out of range.  The
+    buffers are reused by every call, so an object serves one thread at a time.
     """
 
     __slots__ = ("lu", "b", "n", "_ints", "_getrf_args", "_getrs_args")
