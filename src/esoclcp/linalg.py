@@ -167,13 +167,17 @@ class LuFactors:
         if not math.isfinite(scale):
             raise ValueError(f"{name}: entries must be finite")
         _dgetrf(*self._getrf_args)
-        pivot = np.minimum.reduce(np.abs(a.diagonal()))
+        factors = np.abs(a)
+        pivot = np.minimum.reduce(factors.diagonal())
         threshold = PIVOT_RTOL * scale
-        if pivot <= threshold:
+        if not pivot > threshold:  # a NaN pivot fails too
             raise SingularMatrix(
                 f"{name} is singular to working precision "
                 f"(pivot {pivot:.3e} <= {threshold:.3e})"
             )
+        # Finite entries near the float range can overflow in the elimination.
+        if not np.maximum.reduce(factors, None) < math.inf:
+            raise SingularMatrix(f"{name} has non-finite LU factors")
 
     def solve(self) -> np.ndarray:
         """Overwrite `b` with the solution of the factored system and return it."""
@@ -185,10 +189,11 @@ def lu_factor(m, name: str = "matrix") -> LuFactors:
     """LU-factor a square matrix with partial pivoting (LAPACK dgetrf).
 
     Raises ValueError on a non-finite entry and SingularMatrix when any
-    pivot magnitude is at most PIVOT_RTOL times the largest entry of the
-    input; `name` labels the matrix in both messages.  An exactly zero
-    pivot, which dgetrf reports through its info code, fails the same test.
-    The factors are read-only.
+    pivot magnitude is NaN or at most PIVOT_RTOL times the largest entry of
+    the input, or when a factor is non-finite (finite entries near the
+    float range can overflow in the elimination); `name` labels the matrix
+    in every message.  An exactly zero pivot, which dgetrf reports through
+    its info code, fails the same test.  The factors are read-only.
     """
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:

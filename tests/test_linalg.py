@@ -363,6 +363,17 @@ def test_lu_factor_rejects_non_finite_and_singular_input(lapack_source):
         assert "block is singular" in _same_error(m, "block", SingularMatrix)
 
 
+def test_lu_factor_rejects_overflowed_factors_as_singular(lapack_source):
+    # Finite entries near the float range overflow in the elimination: here
+    # U22 = 1e308 + 1e308 is inf, and in the order-3 matrix inf - inf makes
+    # the last pivot NaN.  Either is a singular verdict, which the solvers
+    # skip like any failed pivot test, not a ValueError.
+    overflow = np.array([[1e308, 1e308], [-1e308, 1e308]])
+    assert _same_error(overflow, "block", SingularMatrix) == "block has non-finite LU factors"
+    nan_pivot = np.array([[1e308, 1e308, 1e308], [-1e308, 1e308, 1e308], [-1e308, 1e308, 1e308]])
+    assert "(pivot nan <= " in _same_error(nan_pivot, "block", SingularMatrix)
+
+
 def test_lu_handles_empty_systems():
     f = lu_factor(np.empty((0, 0)))
     assert f.n == 0 and f.lu.shape == (0, 0) and f.piv.shape == (0,)

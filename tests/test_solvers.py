@@ -13,6 +13,7 @@ from esoclcp import (
     PairCase,
     PointZ,
     SolveReport,
+    SingularMatrix,
     SolveStatus,
     SolverOptions,
     affine_map,
@@ -157,6 +158,28 @@ def test_data_near_the_float_range_solves_without_warnings():
     assert (rep.status, rep.case_label, rep.iterations) == (SolveStatus.CONVERGED, CaseLabel.CASE_I, 0)
     assert not rep.certified
     assert np.array_equal(rep.recovered.x, [0.0, 0.0])
+
+
+# Random data scaled by 1e306: some principal blocks of the u = 0 branch
+# factor into non-finite factors.  lcp_roots skips those supports as
+# singular, and the solve reports instead of raising.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("k, l, seed", [(3, 4, 123), (4, 5, 199)])
+def test_overflowed_principal_blocks_are_skipped(monkeypatch, k, l, seed):
+    prob = make_instance("random", k, l, seed).problem
+    factor, overflowed = solvers.LuFactors.factor, []
+
+    def counted(self, name):
+        try:
+            factor(self, name)
+        except SingularMatrix as exc:
+            overflowed.append("non-finite" in str(exc) or "pivot nan" in str(exc))
+            raise
+
+    monkeypatch.setattr(solvers.LuFactors, "factor", counted)
+    rep = solve_esoclcp(LcpProblem(prob.dims, 1e306 * prob.T, 1e306 * prob.r, allow_singular=True))
+    assert (rep.status, rep.recovered) == (SolveStatus.DIVERGED, None)
+    assert any(overflowed)
 
 
 # Data whose reduced v = 0 LCP overflows (B D^-1 C is inf); data where
