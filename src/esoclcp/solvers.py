@@ -8,7 +8,10 @@ either the Newton system J d = -F or the damped normal equations
 (J^T J + mu I) d = -J^T F.  No line search; a divergence guard aborts runs
 whose residual grows a million-fold over the best seen, and a step matrix
 that fails the pivot test ends the run as SingularJacobian under either
-method.  A converged run's last evaluation also checks and certifies it.
+method.  A run that reaches the (t, u) -> 0 corner stops there as MaxIter:
+the equality rows are singular at t = ||u|| = 0, and that limit is the u = 0
+branch's, which the pipeline answers exactly.  A converged run's last
+evaluation also checks and certifies it.
 
 The pipeline is one loop over one stream of candidates: those of the
 augmented smooth system (multi-start), then those of the two degenerate
@@ -51,6 +54,11 @@ from .reformulation import case_i_check, case_ii_check  # noqa: F401
 # Residual growth factor over the running minimum that aborts a run.
 DIVERGENCE_FACTOR = 1e6
 
+# A run whose |t| and max|u| both fall below this fraction of
+# min(1, max|xhat|) ends there: the (t, u) -> 0 corner, where the equality
+# rows are singular and whose limit the exact u = 0 branch answers.
+CORNER_TOL = 1e-2
+
 # Acceptance tolerance of a candidate's pair (classify_pair); recovery also
 # needs t above it.
 ACCEPT_TOL = 1e-6
@@ -69,6 +77,9 @@ ENUM_RTOL = 1e-9
 
 
 class SolveStatus(str, Enum):
+    """How a run ended.  MaxIter means stopped unconverged: at the max_iter
+    cap, or at the (t, u) -> 0 corner (CORNER_TOL)."""
+
     CONVERGED = "Converged"
     MAX_ITER = "MaxIter"
     SINGULAR_JACOBIAN = "SingularJacobian"
@@ -177,8 +188,12 @@ def _iterate(kernel: FbKernel, x0, opts: SolverOptions) -> _RawSolve:
     matrix ends the run Diverged, a failed pivot test SingularJacobian.  The caller
     ignores numpy's overflow and invalid-value warnings (_first_answer),
     whose cause the run's status already reports.
+
+    After a step that did not converge, the run ends MaxIter, as at the cap,
+    when |t| and max|u| are both below CORNER_TOL * min(1, max|xhat|); the
+    start itself is never tested.
     """
-    evaluate, work = kernel.evaluate, kernel.lu
+    evaluate, work, k_x, m = kernel.evaluate, kernel.lu, kernel.k, kernel.m
     x = np.array(x0, dtype=float)
     res, jac, _ = last = evaluate(x)
     # One pass: a NaN or inf entry makes the max non-finite.
@@ -198,6 +213,11 @@ def _iterate(kernel: FbKernel, x0, opts: SolverOptions) -> _RawSolve:
             return _RawSolve(SolveStatus.CONVERGED, x, norm, k, history, last)
         if k >= opts.max_iter:
             return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
+        # The scalar test first: an iterate away from the corner pays one compare.
+        if abs(x[m]) < CORNER_TOL and k:
+            corner = CORNER_TOL * min(1.0, np.maximum.reduce(np.abs(x[:k_x])))
+            if abs(x[m]) < corner and np.maximum.reduce(np.abs(x[k_x:m])) < corner:
+                return _RawSolve(SolveStatus.MAX_ITER, best_x, best_norm, k, history)
         try:
             if newton:
                 work.lu[...] = jac

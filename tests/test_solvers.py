@@ -124,6 +124,45 @@ def test_singular_jacobian_detected(example):
     assert not rep.certified
 
 
+def test_corner_exit_stops_a_run_crawling_to_t_and_u_zero():
+    # The default start's LM run on this case-i instance heads for
+    # t = ||u|| = 0, whose limit the exact u = 0 branch answers; without the
+    # exit it crawls there until max_iter.  It ends MaxIter at its best
+    # iterate, and the pipeline still answers from the branch.
+    inst = make_instance("i", 1, 2, 205)
+    opts = SolverOptions()
+    raw = _iterate(FbKernel(inst.problem), _resolve_start(opts, inst.problem), opts)
+    assert (raw.status, raw.iterations) == (SolveStatus.MAX_ITER, 10)
+    assert raw.norm == min(raw.history) and len(raw.history) == 11
+    rep = solve_esoclcp(inst.problem, opts)
+    assert rep.status is SolveStatus.CONVERGED and rep.case_label is CaseLabel.CASE_I
+
+
+@pytest.mark.parametrize("method", ["lm", "newton"])
+def test_corner_exit_spares_the_start_and_a_run_converging_there(example, method):
+    opts = SolverOptions(method=method, start=AugmentedPoint(np.ones(3), np.zeros(2), 0.0))
+    raw = _iterate(FbKernel(example), _resolve_start(opts, example), opts)
+    # The start itself is never tested: from t = 0, u = 0 a step is tried,
+    # which Newton's singular Jacobian refuses and LM takes.
+    if method == "newton":
+        assert (raw.status, raw.iterations) == (SolveStatus.SINGULAR_JACOBIAN, 0)
+    else:
+        assert raw.iterations >= 1
+    # A planted solution with max|u| and t about 1e-4, xhat = (1, 0.5): its
+    # corner region reaches 1e-2.  A start near it converges in one step,
+    # inside the region, because the convergence test comes first.
+    base = make_instance("vi", 2, 2, 200).problem
+    u, xhat = 1e-4 * np.array([0.6, 0.8]), np.array([1.0, 0.5])
+    t = float(np.linalg.norm(u))
+    prob = LcpProblem(base.dims, base.T, -base.T @ np.concatenate([xhat + t, u]))
+    eps = 1e-6
+    opts = SolverOptions(method=method, start=AugmentedPoint(xhat * (1 + eps), u * (1 + 3 * eps), t * (1 - 2 * eps)))
+    raw = _iterate(FbKernel(prob), _resolve_start(opts, prob), opts)
+    assert (raw.status, raw.iterations) == (SolveStatus.CONVERGED, 1)
+    corner = solvers.CORNER_TOL * min(1.0, np.abs(raw.x[:2]).max())
+    assert abs(raw.x[-1]) < corner and np.abs(raw.x[2:4]).max() < corner
+
+
 # At t = 1e153 the residual is finite but J'J overflows; at t = 1e154 the
 # residual itself is inf.  Either ends the run at its start instead of
 # raising, and the pipeline goes on to its other starts.  Neither writes a
@@ -401,7 +440,7 @@ PINNED_RUNS = [
     ("i", 5, 4, 0, "Converged", 0),
     ("ii", 2, 1, 13, "Converged", 0),
     ("vi", 5, 2, 24, "Diverged", 11),
-    ("vi", 2, 5, 114, "MaxIter", 200),
+    ("vi", 2, 5, 114, "MaxIter", 71),
 ]
 
 
@@ -426,13 +465,14 @@ def test_pipeline_labels_zero_image_answer_case_ii():
 
 def test_singular_lm_normal_matrix_ends_only_that_run():
     # With mu = 0 the normal matrix J'J is singular wherever J is.  On this
-    # instance that happens on the default start, after 14 steps; the run
+    # instance that happens on the default start after 5 steps, far from the
+    # (t, u) -> 0 corner (t and max|u| are about 313 and 268 there); the run
     # ends SingularJacobian, as a Newton run does, and the pipeline goes on.
-    inst = make_instance("vi", 4, 1, 3)
+    inst = make_instance("ii", 2, 2, 8)
     opts = SolverOptions(mu=0.0)
     kernel = FbKernel(inst.problem)
     raw = _iterate(kernel, _resolve_start(opts, inst.problem), opts)
-    assert (raw.status, raw.iterations) == (SolveStatus.SINGULAR_JACOBIAN, 14)
+    assert (raw.status, raw.iterations) == (SolveStatus.SINGULAR_JACOBIAN, 5)
     rep = solve_esoclcp(inst.problem, opts)
     assert rep.status is SolveStatus.CONVERGED
     assert comp_pair_check(rep.recovered, affine_map(inst.problem, rep.recovered), 1e-6)
