@@ -12,18 +12,18 @@ order's buffers and prebuilt LAPACK arguments: lu_factor returns the one
 it factored in, and a step that reuses one allocates nothing for the LU.
 
 The LU is LAPACK dgetrf/dgetrs, called through ctypes on Fortran-ordered
-buffers.  The routines come from the OpenBLAS library that scipy's wheel
-ships in `scipy.libs` (its LP64 symbols scipy_dgetrf_/scipy_dgetrs_), the
-very routines `scipy.linalg.lapack` wraps, so the results are the same
-bits; the library is found without importing scipy, and neither
-`scipy.linalg` nor its LAPACK extension is loaded.  Where that wheel
-layout is absent, the routines' addresses come from the capsules that
-`scipy.linalg.cython_lapack` exports.  LAPACK_SOURCE names the source
-this process bound.
+buffers.  The routines come from the OpenBLAS library that numpy's wheel
+ships in `numpy.libs` (its ILP64 symbols scipy_dgetrf_64_/scipy_dgetrs_64_),
+which `import numpy` has already loaded and whose LAPACK np.linalg runs, so
+the process maps one BLAS library and neither scipy nor its own OpenBLAS
+is loaded.  Where that wheel layout is absent, the routines' addresses
+come from the capsules that `scipy.linalg.cython_lapack` exports (LP64).
+The LAPACK integer width follows the source: 64-bit for numpy's library,
+C int for the capsules.  LAPACK_SOURCE names the source this process
+bound, and _LAPACK_INT its integer type.
 """
 
 import ctypes
-import importlib.util
 import math
 from pathlib import Path
 
@@ -33,28 +33,24 @@ from .errors import DimensionMismatch, SingularMatrix
 
 
 def _openblas_routines():
-    """(source, dgetrf's address, dgetrs's address) in the OpenBLAS library
-    of scipy's wheel, located without importing scipy.
+    """(source, integer type, dgetrf's address, dgetrs's address) in the
+    OpenBLAS library of numpy's wheel, which numpy has already loaded.
 
-    Raises ImportError or OSError when scipy, the library or its symbols
-    cannot be found or loaded.
+    Raises ImportError or OSError when the library or its symbols cannot
+    be found or loaded.
     """
-    # find_spec of a top-level name locates the package without importing it.
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        raise ImportError("scipy is not installed as a package")
-    libs = Path(spec.submodule_search_locations[0]).parent / "scipy.libs"
-    for path in sorted(libs.glob("libscipy_openblas*")):
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*")):
         lib = ctypes.CDLL(str(path))
-        if hasattr(lib, "scipy_dgetrf_") and hasattr(lib, "scipy_dgetrs_"):
-            getrf = ctypes.cast(lib.scipy_dgetrf_, ctypes.c_void_p).value
-            return f"scipy.libs/{path.name}", getrf, ctypes.cast(lib.scipy_dgetrs_, ctypes.c_void_p).value
-    raise ImportError(f"no LP64 scipy_openblas library in {libs}")
+        if hasattr(lib, "scipy_dgetrf_64_") and hasattr(lib, "scipy_dgetrs_64_"):
+            getrf, getrs = (ctypes.cast(f, ctypes.c_void_p).value for f in (lib.scipy_dgetrf_64_, lib.scipy_dgetrs_64_))
+            return f"numpy.libs/{path.name}", ctypes.c_int64, getrf, getrs
+    raise ImportError(f"no ILP64 scipy_openblas library in {libs}")
 
 
 def _capsule_routines():
-    """(source, dgetrf's address, dgetrs's address) from the capsules of
-    scipy.linalg.cython_lapack."""
+    """(source, integer type, dgetrf's address, dgetrs's address) from the
+    capsules of scipy.linalg.cython_lapack."""
     from scipy.linalg import cython_lapack
 
     # Fresh function objects: setting argtypes on the shared ctypes.pythonapi
@@ -63,7 +59,8 @@ def _capsule_routines():
     get_name.restype, get_name.argtypes = ctypes.c_char_p, [ctypes.py_object]
     get_pointer.restype, get_pointer.argtypes = ctypes.c_void_p, [ctypes.py_object, ctypes.c_char_p]
     capsules = [cython_lapack.__pyx_capi__[name] for name in ("dgetrf", "dgetrs")]
-    return ("scipy.linalg.cython_lapack", *(get_pointer(capsule, get_name(capsule)) for capsule in capsules))
+    getrf, getrs = (get_pointer(capsule, get_name(capsule)) for capsule in capsules)
+    return "scipy.linalg.cython_lapack", ctypes.c_int, getrf, getrs
 
 
 def _bind(getrf: int, getrs: int):
@@ -80,7 +77,7 @@ def _lapack_routines():
         return _capsule_routines()
 
 
-LAPACK_SOURCE, *_addresses = _lapack_routines()
+LAPACK_SOURCE, _LAPACK_INT, *_addresses = _lapack_routines()
 _dgetrf, _dgetrs = _bind(*_addresses)
 _TRANS_N = ctypes.byref(ctypes.c_char(b"N"))
 
@@ -141,7 +138,7 @@ class LuFactors:
         # stay in bounds.  (A ctypes array type per size would cost more:
         # ctypes caches those types only while an instance lives.)
         floats = np.empty(n * (n + 1) + 1)
-        ints = np.zeros(3 + n, dtype=np.intc)
+        ints = np.zeros(3 + n, dtype=_LAPACK_INT)
         ints[0], ints[1], ints[3:] = n, 1, range(1, n + 1)
         self.lu = floats[: n * n].reshape((n, n), order="F")
         self.b = floats[n * n : n * (n + 1)]
@@ -225,7 +222,7 @@ def lu_solve(f: LuFactors, b):
         # dgetrs rejects n = 0; the solution of an empty system is empty.
         return sol
     trans, n_p, _, a_p, _, piv_p, _, _, info_p = f._getrs_args
-    cols_p = ctypes.byref(ctypes.c_int(1 if sol.ndim == 1 else sol.shape[1]))
+    cols_p = ctypes.byref(_LAPACK_INT(1 if sol.ndim == 1 else sol.shape[1]))
     # The transpose of a Fortran-order array is C-contiguous, as ctypes needs.
     sol_p = ctypes.byref(ctypes.c_char.from_buffer(sol.T))
     _dgetrs(trans, n_p, cols_p, a_p, n_p, piv_p, sol_p, n_p, info_p)

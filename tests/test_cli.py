@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, formats, env defaults, round-trips."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -202,7 +203,7 @@ def test_gen_rejects_bad_dims(capsys):
 
 
 def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():
-    # The LU routines are called through ctypes in scipy's OpenBLAS library,
+    # The LU routines are called through ctypes in numpy's OpenBLAS library,
     # so neither scipy.linalg nor its f2py LAPACK extension is loaded;
     # scipy.optimize serves only the Indeterminate regularity advisory, no
     # solve runs the paper's conditions in esoclcp.theory, and a report
@@ -222,6 +223,31 @@ def test_solve_example_imports_no_scipy_linalg_optimize_theory_or_json():
     assert run.stdout.strip() == "[]"
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="needs /proc/self/maps")
+def test_cold_solve_maps_one_blas_library():
+    # The LU binds the OpenBLAS that `import numpy` has already mapped: a
+    # fresh interpreter solving the example maps no library of scipy's
+    # wheel and does not import scipy at all.
+    code = (
+        "import contextlib, io, sys\n"
+        "from esoclcp import linalg\n"
+        "from esoclcp.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['solve', 'example-paper']) == 0\n"
+        "print(linalg.LAPACK_SOURCE)\n"
+        "print('scipy' in sys.modules)\n"
+        "with open('/proc/self/maps') as maps:\n"
+        "    paths = {line.split()[-1] for line in maps if '/' in line}\n"
+        "print(*sorted(p for p in paths if 'scipy.libs' in p or 'openblas' in p), sep='\\n')\n"
+    )
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    source, scipy_loaded, *mapped = run.stdout.splitlines()
+    assert source.startswith("numpy.libs/libscipy_openblas64_")
+    assert len(mapped) == 1 and mapped[0].endswith(source), mapped
+    assert scipy_loaded == "False"
+
+
 def test_generation_and_random_starts_import_no_numpy_random():
     # Seeded draws come from esoclcp.rng, numpy's default_rng stream
     # rebuilt without numpy.random: generating every case, `esoclcp gen`,
@@ -238,7 +264,7 @@ def test_generation_and_random_starts_import_no_numpy_random():
         "    assert main(['gen', '--k', '3', '--l', '2', '--case', 'random', '--seed', '4']) == 0\n"
         "for case in ('vi', 'i', 'ii', 'random'):\n"
         "    make_instance(case, 3, 2, 0)\n"
-        "report = solve_esoclcp(make_instance('random', 3, 2, 3).problem, SolverOptions())\n"
+        "report = solve_esoclcp(make_instance('random', 3, 2, 17).problem, SolverOptions())\n"
         "assert report.status is SolveStatus.MAX_ITER, report.status\n"
         "assert 'esoclcp.rng' in sys.modules\n"
         "print('numpy.random' in sys.modules)\n"

@@ -1,10 +1,10 @@
 """Dense LU, Schur complement, and finite-difference oracle tests."""
 
+import ctypes
 import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.linalg.lapack
 
 from esoclcp import SolverOptions, linalg, make_instance
@@ -182,14 +182,14 @@ def test_fd_jacobian_rejects_bad_step():
 
 
 def test_lu_factor_matches_scipy_and_is_read_only():
+    # The bound routines are those of numpy's scipy-openblas build, whose
+    # np.linalg.solve (dgesv: dgetrf, then dgetrs) gives the same bits.
     rng = np.random.default_rng(107)
     for n in range(12):
         m = rng.uniform(-3.0, 3.0, (n, n))
         f = lu_factor(m)
-        lu, piv = scipy.linalg.lu_factor(m)
-        assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv), f"n={n}"
         b = rng.uniform(-3.0, 3.0, n)
-        assert np.array_equal(lu_solve(f, b), scipy.linalg.lu_solve((lu, piv), b)), f"n={n}"
+        assert lu_solve(f, b).tobytes() == np.linalg.solve(m, b).tobytes(), f"n={n}"
         assert not f.lu.flags.writeable
         if n:
             # The solvers' step: a reused LuFactors factors and solves, same bits.
@@ -217,15 +217,39 @@ def test_lu_factor_rejects_wrong_shapes():
 
 @pytest.fixture(params=["bound", "cython_lapack"])
 def lapack_source(request, monkeypatch):
-    """The routines this process bound, or those of the cython_lapack capsules."""
+    """The routines this process bound, or those of the cython_lapack
+    capsules together with their C int width: LP64 routines handed 64-bit
+    integer buffers corrupt the heap."""
     if request.param == "cython_lapack":
-        source, *addresses = linalg._capsule_routines()
-        assert source == "scipy.linalg.cython_lapack"
+        source, int_type, *addresses = linalg._capsule_routines()
+        assert (source, int_type) == ("scipy.linalg.cython_lapack", ctypes.c_int)
         assert addresses != linalg._addresses  # cython_lapack's own wrappers of the routines
         getrf, getrs = linalg._bind(*addresses)
+        monkeypatch.setattr(linalg, "_LAPACK_INT", int_type)
         monkeypatch.setattr(linalg, "_dgetrf", getrf)
         monkeypatch.setattr(linalg, "_dgetrs", getrs)
     return request.param
+
+
+def _reference_solve(source, m, b):
+    """m^-1 b from the library whose routines `source` binds: numpy's own
+    np.linalg.solve (dgesv: dgetrf, then dgetrs) for the bound ILP64
+    routines, scipy.linalg.lapack for the LP64 capsules."""
+    if source == "bound":
+        return np.linalg.solve(m, b)
+    lu, piv, _ = scipy.linalg.lapack.dgetrf(m)
+    return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
+
+
+def test_bound_source_is_numpy_openblas_with_its_integer_width(lapack_source):
+    if lapack_source == "bound":
+        assert linalg.LAPACK_SOURCE.startswith("numpy.libs/libscipy_openblas64_")
+        assert linalg._LAPACK_INT is ctypes.c_int64
+    # Every integer LAPACK reads, the buffer's and lu_solve's column count,
+    # has the source's width; no solve result can show a mismatch.
+    f = lu_factor(np.eye(2))
+    assert f._ints.itemsize == ctypes.sizeof(linalg._LAPACK_INT)
+    assert f.piv.dtype == np.dtype(linalg._LAPACK_INT)
 
 
 def _binding_matrices():
@@ -241,37 +265,41 @@ def _binding_matrices():
 
 
 def test_lu_binding_matches_scipy_lapack_byte_for_byte(lapack_source):
-    # lu_factor/lu_solve and a reused LuFactors give dgetrf/dgetrs's bits: the
-    # factors, the 0-based pivots, the info code of an exactly singular
-    # matrix, and 1-d and 2-d solutions.
+    # lu_factor/lu_solve and a reused LuFactors give the bits of their
+    # library's dgetrf/dgetrs, the LAPACK of the scipy-openblas build the
+    # source binds: the info code of an exactly singular matrix, 1-d and
+    # 2-d solutions, and, for the capsules, scipy's factors and 0-based
+    # pivots.  The bound factors are checked by the reconstruction test.
     rng = np.random.default_rng(19)
     for label, m in _binding_matrices():
         n = m.shape[0]
-        want_lu, want_piv, want_info = scipy.linalg.lapack.dgetrf(m)
         work = _unfactored(m)
-        if want_info:
-            assert want_info == n // 2 + 1, label
+        if "singular" in label:
             with pytest.raises(SingularMatrix):
                 lu_factor(m)
             with pytest.raises(SingularMatrix):
                 work.factor("matrix")
-            assert work._ints[2] == want_info, label  # LAPACK's info code
-        else:
-            work.factor("matrix")
-            f = lu_factor(m)
+            assert work._ints[2] == n // 2 + 1, label  # LAPACK's info code
+            if lapack_source == "cython_lapack":
+                assert work.lu.tobytes("F") == scipy.linalg.lapack.dgetrf(m)[0].tobytes("F"), label
+            continue
+        work.factor("matrix")
+        f = lu_factor(m)
+        assert work.lu.tobytes("F") == f.lu.tobytes("F") and np.array_equal(work.piv, f.piv), label
+        assert f.lu.flags.f_contiguous, label
+        if lapack_source == "cython_lapack":
+            want_lu, want_piv, _ = scipy.linalg.lapack.dgetrf(m)
             assert f.lu.tobytes() == want_lu.tobytes() and f.piv.tobytes() == want_piv.tobytes(), label
-            assert f.piv.dtype == want_piv.dtype and f.lu.flags.f_contiguous, label
-            for b in (rng.standard_normal(n), rng.standard_normal((n, 1)), rng.standard_normal((n, 3))):
-                want = scipy.linalg.lapack.dgetrs(want_lu, want_piv, b)[0]
-                got = lu_solve(f, b)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
-            work.b[...] = b[:, 0]
-            assert work.solve().tobytes() == scipy.linalg.lapack.dgetrs(want_lu, want_piv, b[:, 0])[0].tobytes()
-        assert work.lu.tobytes("F") == want_lu.tobytes("F") and np.array_equal(work.piv, want_piv), label
+        for b in (rng.standard_normal(n), rng.standard_normal((n, 1)), rng.standard_normal((n, 3))):
+            want = _reference_solve(lapack_source, m, b)
+            got = lu_solve(f, b)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), label
+        work.b[...] = b[:, 0]
+        assert work.solve().tobytes() == _reference_solve(lapack_source, m, b[:, 0]).tobytes(), label
 
 
-def _reference_iterate(kernel, x, opts):
-    """The engine's iteration with scipy.linalg.lapack's dgetrf/dgetrs:
+def _reference_iterate(source, kernel, x, opts):
+    """The engine's iteration with the source's reference solve:
     (best iterate, history)."""
     res, jac, _ = kernel.evaluate(x)
     iterates, history = [x], [float(np.abs(res).max())]
@@ -282,9 +310,7 @@ def _reference_iterate(kernel, x, opts):
             matrix, rhs = jac, -res
         else:
             matrix, rhs = jac.T @ jac + opts.mu * np.eye(x.size), -(jac.T @ res)
-        lu, piv, info = scipy.linalg.lapack.dgetrf(matrix)
-        assert info == 0
-        x = x + scipy.linalg.lapack.dgetrs(lu, piv, rhs)[0]
+        x = x + _reference_solve(source, matrix, rhs)
         res, jac, _ = kernel.evaluate(x)
         iterates.append(x)
         history.append(float(np.abs(res).max()))
@@ -294,8 +320,8 @@ def _reference_iterate(kernel, x, opts):
 @pytest.mark.parametrize("method", ["newton", "lm"])
 def test_engine_workspace_matches_scipy_lapack_byte_for_byte(lapack_source, method):
     # The engine writes J, or J^T J + mu I in C order, into the kernel's
-    # LuFactors; its iterates are those of scipy's dgetrf/dgetrs on the
-    # matrices it used to build.
+    # LuFactors; its iterates are those of its library's reference solve
+    # on the matrices it used to build.
     for seed, k, l in ((200, 1, 1), (201, 2, 2), (3, 4, 1), (207, 3, 5)):
         prob = make_instance("vi", k, l, seed).problem
         opts = SolverOptions(method=method, max_iter=8)
@@ -303,7 +329,7 @@ def test_engine_workspace_matches_scipy_lapack_byte_for_byte(lapack_source, meth
         assert kernel.lu.lu.shape == (k + l + 1, k + l + 1)
         start = _resolve_start(opts, prob)
         raw = _iterate(kernel, start, opts)
-        x, history = _reference_iterate(FbKernel(prob), start, opts)
+        x, history = _reference_iterate(lapack_source, FbKernel(prob), start, opts)
         assert raw.history == history, (seed, method)
         assert raw.x.tobytes() == x.tobytes(), (seed, method)
 
@@ -315,7 +341,7 @@ def test_lu_solve_rejects_bad_factors_and_shapes(lapack_source):
             lu_solve(f, rhs)
     # A non-finite right-hand side is LAPACK's business: NaN in, NaN out.
     rhs = np.array([1.0, np.nan, np.inf])
-    want = scipy.linalg.lapack.dgetrs(f.lu, f.piv, rhs)[0]
+    want = _reference_solve(lapack_source, np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]]), rhs)
     assert lu_solve(f, rhs).tobytes() == want.tobytes()
 
 
@@ -337,7 +363,6 @@ def test_repeated_lu_solves_return_new_arrays_and_keep_the_factors(lapack_source
     rng = np.random.default_rng(20)
     for n in (1, 4, 7):
         m = rng.standard_normal((n, n))
-        want_lu, want_piv, _ = scipy.linalg.lapack.dgetrf(m)
         f = lu_factor(m)
         factors = f.lu.tobytes(), f.piv.tobytes()
         rhs = [rng.standard_normal(n), rng.standard_normal((n, 1)), rng.standard_normal((n, 3))]
@@ -345,7 +370,7 @@ def test_repeated_lu_solves_return_new_arrays_and_keep_the_factors(lapack_source
         solutions = []
         for b in rhs + rhs:
             got = lu_solve(f, b)
-            want = scipy.linalg.lapack.dgetrs(want_lu, want_piv, b)[0]
+            want = _reference_solve(lapack_source, m, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), n
             assert (f.lu.tobytes(), f.piv.tobytes()) == factors, n
             assert not any(np.shares_memory(got, other) for other in [f.lu, *rhs, *solutions]), n

@@ -434,7 +434,7 @@ PINNED_RUNS = [
     ("vi", 5, 5, 204, "Converged", 12),
     ("vi", 1, 2, 205, "Converged", 8),
     ("vi", 2, 3, 206, "Converged", 10),
-    ("vi", 3, 4, 207, "Converged", 81),
+    ("vi", 3, 4, 207, "Converged", 15),
     ("vi", 4, 5, 208, "Converged", 16),
     ("vi", 5, 1, 209, "Converged", 8),
     ("i", 5, 4, 0, "Converged", 0),
