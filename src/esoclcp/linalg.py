@@ -86,6 +86,11 @@ _TRANS_N = ctypes.byref(ctypes.c_char(b"N"))
 # tolerance, so one fixed relative threshold is used everywhere.
 PIVOT_RTOL = 1e-12
 
+# Below this scale a pivot that passes the pivot test may have an infinite
+# reciprocal, so LuFactors.factor checks every factor; above it, and below
+# the overflow bound of its order, the factors are finite.
+_SCALE_FLOOR = 2.0 ** -960
+
 
 def as_vector(v, name="vector"):
     """Coerce to a finite 1-d float64 array."""
@@ -164,17 +169,21 @@ class LuFactors:
         if not math.isfinite(scale):
             raise ValueError(f"{name}: entries must be finite")
         _dgetrf(*self._getrf_args)
-        factors = np.abs(a)
-        pivot = np.minimum.reduce(factors.diagonal())
+        pivot = np.minimum.reduce(np.abs(a.diagonal()))
         threshold = PIVOT_RTOL * scale
         if not pivot > threshold:  # a NaN pivot fails too
             raise SingularMatrix(
                 f"{name} is singular to working precision "
                 f"(pivot {pivot:.3e} <= {threshold:.3e})"
             )
-        # Finite entries near the float range can overflow in the elimination.
-        if not np.maximum.reduce(factors, None) < math.inf:
-            raise SingularMatrix(f"{name} has non-finite LU factors")
+        # Finite entries near the float range can overflow in the
+        # elimination.  Partial pivoting keeps |L| <= 1 and U within
+        # 2^(n-1) * scale, and an accepted pivot's reciprocal is finite above
+        # _SCALE_FLOOR, so only a scale near either end of the range needs
+        # the full pass over the factors.
+        if not _SCALE_FLOOR < scale < math.ldexp(1.0, 1023 - self.n):
+            if not np.maximum.reduce(np.abs(a), None) < math.inf:
+                raise SingularMatrix(f"{name} has non-finite LU factors")
 
     def solve(self) -> np.ndarray:
         """Overwrite `b` with the solution of the factored system and return it."""

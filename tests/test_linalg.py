@@ -241,15 +241,21 @@ def _reference_solve(source, m, b):
     return scipy.linalg.lapack.dgetrs(lu, piv, b)[0]
 
 
-def test_bound_source_is_numpy_openblas_with_its_integer_width(lapack_source):
+def test_lapack_integers_have_the_source_width(lapack_source, monkeypatch):
     if lapack_source == "bound":
         assert linalg.LAPACK_SOURCE.startswith("numpy.libs/libscipy_openblas64_")
         assert linalg._LAPACK_INT is ctypes.c_int64
     # Every integer LAPACK reads, the buffer's and lu_solve's column count,
-    # has the source's width; no solve result can show a mismatch.
-    f = lu_factor(np.eye(2))
+    # has the source's width.  No solve result need show a mismatch: a
+    # 4-byte column count read as 8 bytes still solved 3 columns.
+    f = lu_factor(np.eye(3))
     assert f._ints.itemsize == ctypes.sizeof(linalg._LAPACK_INT)
     assert f.piv.dtype == np.dtype(linalg._LAPACK_INT)
+    columns = []
+    dgetrs = linalg._dgetrs
+    monkeypatch.setattr(linalg, "_dgetrs", lambda *args: columns.append(args[2]._obj) or dgetrs(*args))
+    assert np.array_equal(lu_solve(f, np.ones((3, 3))), np.ones((3, 3)))
+    assert [(type(count), count.value) for count in columns] == [(linalg._LAPACK_INT, 3)]
 
 
 def _binding_matrices():
@@ -395,6 +401,12 @@ def test_lu_factor_rejects_overflowed_factors_as_singular(lapack_source):
     # skip like any failed pivot test, not a ValueError.
     overflow = np.array([[1e308, 1e308], [-1e308, 1e308]])
     assert _same_error(overflow, "block", SingularMatrix) == "block has non-finite LU factors"
+    # Wilkinson's matrix grows its last column 2^(n-1)-fold: at order 5 and
+    # scale 2^1021 only that column overflows, so the order sets the bound.
+    growth = np.eye(5) - np.tril(np.ones((5, 5)), -1)
+    growth[:, -1] = 1.0
+    assert _same_error(growth * 2.0**1021, "block", SingularMatrix) == "block has non-finite LU factors"
+    lu_factor(growth * 2.0**1017)  # 2^1021 at most: finite
     nan_pivot = np.array([[1e308, 1e308, 1e308], [-1e308, 1e308, 1e308], [-1e308, 1e308, 1e308]])
     assert "(pivot nan <= " in _same_error(nan_pivot, "block", SingularMatrix)
 
