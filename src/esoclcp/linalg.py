@@ -141,9 +141,11 @@ class LuFactors:
         # LAPACK argument is a pointer, as Fortran passes them, here a byref
         # reference into a buffer; the sizes follow from n, so the routines
         # stay in bounds.  (A ctypes array type per size would cost more:
-        # ctypes caches those types only while an instance lives.)
+        # ctypes caches those types only while an instance lives.)  The ints
+        # take the LAPACK integer's width by name: a ctypes type as the
+        # dtype costs about 3 us per call.
         floats = np.empty(n * (n + 1) + 1)
-        ints = np.zeros(3 + n, dtype=_LAPACK_INT)
+        ints = np.zeros(3 + n, dtype=f"i{ctypes.sizeof(_LAPACK_INT)}")
         ints[0], ints[1], ints[3:] = n, 1, range(1, n + 1)
         self.lu = floats[: n * n].reshape((n, n), order="F")
         self.b = floats[n * n : n * (n + 1)]
